@@ -2,24 +2,107 @@
 
 A trail here alternates between edges outside and inside a reference edge set
 ("member" edges), with distinct edges but freely repeated vertices. The search
-builds a gadget graph: every candidate edge becomes a matched pair of ports
-(one per endpoint), passing through a vertex pairs ports of opposite sides,
-and virtual terminals encode the admissible start/end vertices. Alternating
-trails then correspond exactly to matching-augmenting paths between the
-terminals, which are found with a blossom search (the gadget graph contains
-odd alternating cycles, so plain BFS is not enough).
+runs on a gadget graph in the manner of Gabow's reduction: every pool edge is
+a matched pair of ports (one per endpoint), passing through a vertex pairs
+ports of opposite sides, and two virtual terminals (sigma, tau) encode the
+admissible start and end vertices. Alternating trails then correspond exactly
+to matching-augmenting paths from sigma to tau, which are found with a
+blossom search (the gadget contains odd alternating cycles, so plain BFS is
+not enough).
+
+The gadget is implicit and persistent. A ``Gadget`` keeps only the ports of
+its pool, each vertex's ports split by side in pool order, and the blossom
+search state. A port's neighbours are generated during the search: the ports
+of the opposite side at its vertex, then sigma (outside ports at a source),
+then tau (outside ports at an add sink, member ports at a remove sink). One
+gadget serves every search of a loop: ``drop`` takes an edge out of the pool,
+``flip`` moves it to the other side, and each search resets only the nodes it
+reached. ``find_alternating_trail`` is the one-shot form.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_left, insort
+from itertools import compress
+from operator import lt
 from typing import Iterable
 
-from .core import Graph
+from .core import DegreeBounds, Graph, Subgraph
 from .trail_type import Trail
 
 _SIGMA = 0
 _TAU = 1
+
+
+class Gadget:
+    """The port gadget of an edge pool around a member set, kept across searches.
+
+    Node ``2 + 2j`` is the port of the pool's ``j``-th edge (in index order)
+    at its first endpoint and ``3 + 2j`` the one at its second; the numbering
+    stays fixed when edges are dropped or flipped.
+    """
+
+    def __init__(self, graph: Graph, pool: Iterable[int], member: set[int]):
+        self.edges = sorted(pool)
+        self.index = {e: j for j, e in enumerate(self.edges)}
+        n_nodes = 2 + 2 * len(self.edges)
+        vertex_of = [-1, -1] + [x for e in self.edges for x in graph.edges[e]]
+        inside = [False, False] + [side for e in self.edges for side in (e in member,) * 2]
+        inside_at: list[list[int]] = [[] for _ in range(graph.n)]
+        outside_at: list[list[int]] = [[] for _ in range(graph.n)]
+        for port in range(2, n_nodes):
+            (inside_at if inside[port] else outside_at)[vertex_of[port]].append(port)
+        self.vertex_of, self.inside = vertex_of, inside
+        self.inside_at, self.outside_at = inside_at, outside_at
+        self.match = [-1, -1] + [p ^ 1 for p in range(2, n_nodes)]
+        self.parent = [-1] * n_nodes
+        self.base = list(range(n_nodes))
+        self.used = [False] * n_nodes
+        self.stamp = [0] * n_nodes
+        self.epoch = 0
+
+    def drop(self, e: int) -> None:
+        """Take edge ``e`` out of the pool."""
+        j = self.index.pop(e)
+        for port in (2 + 2 * j, 3 + 2 * j):
+            self._unlink(port)
+
+    def flip(self, e: int) -> None:
+        """Move edge ``e`` to the other side of the member set."""
+        j = self.index[e]
+        for port in (2 + 2 * j, 3 + 2 * j):
+            self._unlink(port)
+            self.inside[port] = not self.inside[port]
+            insort(self._side_list(port), port)
+
+    def _side_list(self, port: int) -> list[int]:
+        at = self.inside_at if self.inside[port] else self.outside_at
+        return at[self.vertex_of[port]]
+
+    def _unlink(self, port: int) -> None:
+        ports = self._side_list(port)
+        del ports[bisect_left(ports, port)]
+
+    def search(
+        self,
+        sources: set[int],
+        add_sinks: set[int],
+        remove_sinks: set[int] = frozenset(),
+    ) -> Trail | None:
+        """Find a trail within the pool alternating around the member set.
+
+        The trail starts at a vertex in ``sources`` with a non-member edge and
+        either ends at a vertex in ``add_sinks`` with a non-member edge (odd
+        trail, one more non-member than member edge) or at a vertex in
+        ``remove_sinks`` with a member edge (even trail). Returns None when no
+        such trail exists.
+        """
+        if not self.index or not sources or not (add_sinks or remove_sinks):
+            return None
+        node_path = _augmenting_node_path(self, sources, add_sinks, remove_sinks)
+        if node_path is None:
+            return None
+        return _decode(self, node_path)
 
 
 def find_alternating_trail(
@@ -30,103 +113,79 @@ def find_alternating_trail(
     add_sinks: set[int],
     remove_sinks: set[int] = frozenset(),
 ) -> Trail | None:
-    """Find a trail within ``pool`` alternating around ``member``.
+    """One search on a fresh gadget; see ``Gadget.search``."""
+    if not sources or not (add_sinks or remove_sinks):
+        return None
+    return Gadget(graph, pool, member).search(sources, add_sinks, remove_sinks)
 
-    The trail starts at a vertex in ``sources`` with a non-member edge and
-    either ends at a vertex in ``add_sinks`` with a non-member edge (odd
-    trail, one more non-member than member edge) or at a vertex in
-    ``remove_sinks`` with a member edge (even trail). Returns None when no
-    such trail exists.
+
+def growing_trail(gadget: Gadget, bounds: DegreeBounds, current: Subgraph) -> Trail | None:
+    """A trail in the gadget's pool whose flip grows ``current`` by one edge.
+
+    The gadget's member set must be ``current``. The trail starts and ends
+    with non-member edges at vertices that can accept another edge; when both
+    ends coincide, that vertex needs room for two. Returns None when no such
+    trail exists.
     """
-    pool = sorted(pool)
-    if not pool or not sources or not (add_sinks or remove_sinks):
-        return None
-    local = {e: j for j, e in enumerate(pool)}
-
-    def port(j: int, v: int) -> int:
-        u, _ = graph.edges[pool[j]]
-        return 2 + 2 * j + (0 if v == u else 1)
-
-    n_nodes = 2 + 2 * len(pool)
-    adj: list[list[int]] = [[] for _ in range(n_nodes)]
-    match = [-1] * n_nodes
-    for j in range(len(pool)):
-        match[2 + 2 * j] = 3 + 2 * j
-        match[3 + 2 * j] = 2 + 2 * j
-
-    def link(x: int, y: int) -> None:
-        adj[x].append(y)
-        adj[y].append(x)
-
-    by_vertex_member: list[list[int]] = [[] for _ in range(graph.n)]
-    by_vertex_outside: list[list[int]] = [[] for _ in range(graph.n)]
-    for j, e in enumerate(pool):
-        u, v = graph.edges[e]
-        target = by_vertex_member if e in member else by_vertex_outside
-        target[u].append(j)
-        target[v].append(j)
-
-    for v in range(graph.n):
-        for j in by_vertex_member[v]:
-            for jj in by_vertex_outside[v]:
-                link(port(j, v), port(jj, v))
-    for u in sorted(sources):
-        for j in by_vertex_outside[u]:
-            link(_SIGMA, port(j, u))
-    for w in sorted(add_sinks):
-        for j in by_vertex_outside[w]:
-            link(port(j, w), _TAU)
-    for w in sorted(remove_sinks):
-        for j in by_vertex_member[w]:
-            link(port(j, w), _TAU)
-
-    node_path = _augmenting_node_path(n_nodes, adj, match, _SIGMA)
-    if node_path is None:
-        return None
-    return _decode(graph, pool, match, node_path)
+    degrees, upper = current.degrees, bounds.upper
+    room = set(compress(range(len(degrees)), map(lt, degrees, upper)))
+    found = gadget.search(room, room)
+    if found is None or not found.is_closed or degrees[found.vertices[0]] + 2 <= upper[
+        found.vertices[0]
+    ]:
+        return found
+    # The first search produced a closed trail without headroom; redo it once
+    # per admissible start so acceptance can depend on the start vertex.
+    for u in sorted(room):
+        sinks = {w for w in room if w != u}
+        if degrees[u] + 2 <= upper[u]:
+            sinks.add(u)
+        found = gadget.search({u}, sinks)
+        if found is not None:
+            return found
+    return None
 
 
-def _decode(graph: Graph, pool: list[int], match: list[int], node_path: list[int]) -> Trail:
+def _decode(gadget: Gadget, node_path: list[int]) -> Trail:
     """Turn a terminal-to-terminal gadget path back into a trail."""
     assert node_path[0] == _SIGMA and node_path[-1] == _TAU
     inner = node_path[1:-1]
     assert inner and len(inner) % 2 == 0
-
-    def owner(node: int) -> tuple[int, int]:
-        j, side = divmod(node - 2, 2)
-        return pool[j], graph.edges[pool[j]][side]
+    vertex_of = gadget.vertex_of
 
     edges: list[int] = []
     vertices: list[int] = []
     for i in range(0, len(inner), 2):
         entry, arrive = inner[i], inner[i + 1]
-        assert match[entry] == arrive, "gadget path lost alternation"
-        e, from_v = owner(entry)
-        _, to_v = owner(arrive)
+        assert gadget.match[entry] == arrive, "gadget path lost alternation"
+        from_v = vertex_of[entry]
         if not vertices:
             vertices.append(from_v)
         assert vertices[-1] == from_v, "gadget path lost vertex continuity"
-        edges.append(e)
-        vertices.append(to_v)
+        edges.append(gadget.edges[(entry - 2) >> 1])
+        vertices.append(vertex_of[arrive])
     return Trail(tuple(vertices), tuple(edges))
 
 
 def _augmenting_node_path(
-    n_nodes: int, adj: list[list[int]], match: list[int], root: int
+    gadget: Gadget, sources: set[int], add_sinks: set[int], remove_sinks: set[int]
 ) -> list[int] | None:
-    """Blossom search for an augmenting path from ``root`` to any free node.
+    """Blossom search for an augmenting path from sigma to tau.
 
-    Blossom contraction keeps explicit member lists per base class so each
-    event touches only the absorbed nodes, not the whole graph.
+    Blossom contraction keeps explicit member lists per base class (in a
+    per-search dict) so each event touches only the absorbed nodes. The
+    gadget's search arrays are left as found: the queue keeps every outer
+    node, every other node the search reached is the partner of one (or tau),
+    and ``stamp`` is versioned by a running epoch.
     """
-    parent = [-1] * n_nodes
-    base = list(range(n_nodes))
-    members: list[list[int] | None] = [[i] for i in range(n_nodes)]
-    used = [False] * n_nodes
+    parent, base, used, stamp = gadget.parent, gadget.base, gadget.used, gadget.stamp
+    match, vertex_of, inside = gadget.match, gadget.vertex_of, gadget.inside
+    inside_at, outside_at = gadget.inside_at, gadget.outside_at
+    root = _SIGMA
+    members: dict[int, list[int]] = {}
     used[root] = True
-    queue = deque([root])
-    stamp = [0] * n_nodes
-    epoch = 0
+    queue: list[int] = []  # never shrinks: ``head`` is the next node to expand
+    epoch = gadget.epoch
 
     def lca(a: int, b: int) -> int:
         nonlocal epoch
@@ -153,37 +212,71 @@ def _augmenting_node_path(
             child = match[v]
             v = parent[match[v]]
 
-    while queue:
-        v = queue.popleft()
-        for u in adj[v]:
-            if base[v] == base[u] or match[v] == u:
-                continue
-            if u == root or (match[u] != -1 and parent[match[u]] != -1):
-                stem = lca(v, u)
-                absorbed: list[int] = []
-                mark_path(v, stem, u, absorbed)
-                mark_path(u, stem, v, absorbed)
-                bucket = members[stem]
-                for rep in absorbed:
-                    if rep == stem:
-                        continue
-                    group = members[rep]
-                    if group is None:
-                        continue
-                    members[rep] = None
-                    for i in group:
-                        base[i] = stem
-                        if not used[i]:
-                            used[i] = True
-                            queue.append(i)
-                    bucket.extend(group)
-            elif parent[u] == -1:
-                parent[u] = v
-                if match[u] == -1:
-                    return _walk_back(u, parent, match)
-                used[match[u]] = True
-                queue.append(match[u])
-    return None
+    try:
+        # The root's expansion, specialised: each outside port at a source
+        # becomes inner; when its partner is inner already (both ends of the
+        # edge are sources), the edge closes a blossom whose base is the root.
+        # The root's class is never absorbed, so its member list is not kept.
+        for x in sorted(sources):
+            for u in outside_at[x]:
+                w = match[u]
+                parent[u] = root
+                if parent[w] != -1:
+                    base[u] = base[w] = root
+                used[w] = True
+                queue.append(w)
+        head = 0
+        while head < len(queue):
+            v = queue[head]
+            head += 1
+            x = vertex_of[v]
+            if inside[v]:
+                neighbours = outside_at[x]
+                if x in remove_sinks:
+                    neighbours = neighbours + [_TAU]
+            else:
+                neighbours = inside_at[x]
+                if x in sources:
+                    neighbours = neighbours + [_SIGMA]
+                if x in add_sinks:
+                    neighbours = neighbours + [_TAU]
+            for u in neighbours:
+                if base[v] == base[u] or match[v] == u:
+                    continue
+                if u == root or (match[u] != -1 and parent[match[u]] != -1):
+                    stem = lca(v, u)
+                    absorbed: list[int] = []
+                    mark_path(v, stem, u, absorbed)
+                    mark_path(u, stem, v, absorbed)
+                    bucket = members.get(stem)
+                    if bucket is None:
+                        bucket = members[stem] = [stem]
+                    for rep in absorbed:
+                        if base[rep] == stem:  # the stem itself, or absorbed already
+                            continue
+                        group = members.pop(rep, None) or [rep]
+                        for i in group:
+                            base[i] = stem
+                            if not used[i]:
+                                used[i] = True
+                                queue.append(i)
+                        bucket.extend(group)
+                elif parent[u] == -1:
+                    parent[u] = v
+                    if match[u] == -1:
+                        return _walk_back(u, parent, match)
+                    used[match[u]] = True
+                    queue.append(match[u])
+        return None
+    finally:
+        gadget.epoch = epoch
+        used[root] = False
+        parent[_TAU] = -1
+        for w in queue:
+            for i in (w, match[w]):
+                parent[i] = -1
+                base[i] = i
+                used[i] = False
 
 
 def _walk_back(end: int, parent: list[int], match: list[int]) -> list[int]:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .core import Instance, verify_move_sequence
 from .decider import decide, decide_with_trace
-from .errors import InputError, OracleCapError
+from .errors import InputError
 from .instance_io import moves_from_text, parse_instance, serialize_decision
 from .obstructions import m_fixed_subgraph
 from .oracle import oracle_decide
@@ -140,9 +140,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except OracleCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -148,9 +148,6 @@ class Move:
         return Move(REMOVE if self.kind == ADD else ADD, self.edge)
 
 
-MoveSequence = list  # list[Move]; the certificate for Yes answers
-
-
 @dataclass
 class Instance:
     """A reconfiguration question: transform source into target under slack k."""

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .augmenting import Gadget
 from .core import Instance, Move, Subgraph, reversed_moves, verify_move_sequence
 from .errors import LockedCycleError, SynthesisError
 from .external import _alt_cycle, _btight_cycle, exists_unlocking_subgraph
@@ -172,14 +173,18 @@ def _process(inst: Instance, trace: list[TraceEntry], max_regime: bool) -> Decis
     graph, bounds = inst.graph, inst.bounds
     ctx = inst.source.copy()
     out: list[Move] = []
-    diff = inst.source.edge_set ^ inst.target.edge_set
-    while diff:
-        searched = find_augmenting_trail(graph, bounds, ctx, inst.target)
+    remaining = Subgraph(graph, inst.source.edge_set ^ inst.target.edge_set)
+    # Every rule's net effect is exactly its trail's flip, so one gadget over
+    # the difference (dropping peeled edges) serves every growing-trail
+    # search, and one whole-host gadget (flipping them) every escape search.
+    pool = Gadget(graph, remaining.edge_set, ctx.edge_set)
+    host: Gadget | None = None
+    while remaining.edge_set:
+        searched = find_augmenting_trail(graph, bounds, ctx, inst.target, pool)
         if searched is not None:
             trail = searched
         else:
-            pool = Subgraph(graph, diff)
-            trail = find_maximal_alternating_trail(pool, ctx, min(diff))
+            trail = find_maximal_alternating_trail(remaining, ctx, min(remaining.edge_set))
         cls = classify_trail(trail, ctx, bounds)
         before = len(out)
         if cls is TrailClass.M_AUGMENTING:
@@ -201,8 +206,10 @@ def _process(inst: Instance, trace: list[TraceEntry], max_regime: bool) -> Decis
                 rule = "open-even"
         elif cls is TrailClass.B_TIGHT_CYCLE:
             if max_regime:
+                if host is None:
+                    host = Gadget(graph, range(graph.m), ctx.edge_set)
                 try:
-                    _btight_cycle(trail, ctx, graph, bounds, out)
+                    _btight_cycle(trail, ctx, graph, bounds, out, host)
                     rule = "tight-cycle-escape"
                 except LockedCycleError:
                     return Decision.reject(
@@ -224,7 +231,11 @@ def _process(inst: Instance, trace: list[TraceEntry], max_regime: bool) -> Decis
             _alt_cycle(trail, ctx, unlocked, graph, bounds, out)
             rule = "tight-cycle-unlock"
         trace.append(TraceEntry(cls.value, rule, len(out) - before, trail))
-        diff -= set(trail.edges)
+        for e in trail.edges:
+            remaining.remove(e)
+            pool.drop(e)
+            if host is not None:
+                host.flip(e)
     if ctx != inst.target:
         raise SynthesisError("trail processing did not arrive at the target")
     return Decision.accept(out)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .augmenting import find_alternating_trail
+from .augmenting import Gadget, find_alternating_trail
 from .core import DegreeBounds, Graph, Move, Subgraph
 from .errors import ContractError, LockedCycleError, SynthesisError
 from .internal import _elementary
@@ -39,34 +39,38 @@ class EvenSet:
 
 
 def _escape_trail(
-    graph: Graph, bounds: DegreeBounds, current: Subgraph, candidates: set[int]
+    graph: Graph,
+    bounds: DegreeBounds,
+    current: Subgraph,
+    candidates: set[int],
+    gadget: Gadget | None = None,
 ) -> Trail | None:
     """Even alternating trail from a candidate, first edge inside, ending at slack.
 
     Searched in reverse (from the slack vertices back to the candidates) so
     the generic engine's start convention applies; edge-distinctness is
-    enforced by the engine's gadget construction.
+    enforced by the engine's gadget construction. ``gadget``, when given,
+    spans the whole host around ``current``.
     """
     slack = {v for v in range(graph.n) if current.degrees[v] < bounds.upper[v]}
     goals = {v for v in candidates if current.degrees[v] > bounds.lower[v]}
-    found = find_alternating_trail(
-        graph,
-        range(graph.m),
-        current.edge_set,
-        sources=slack,
-        add_sinks=set(),
-        remove_sinks=goals,
-    )
+    if gadget is None:
+        found = find_alternating_trail(
+            graph, range(graph.m), current.edge_set, slack, set(), goals
+        )
+    else:
+        found = gadget.search(slack, set(), goals)
     return found.reversed() if found is not None else None
 
 
 def compute_even_set(graph: Graph, bounds: DegreeBounds, current: Subgraph) -> EvenSet:
     members = set()
+    gadget = Gadget(graph, range(graph.m), current.edge_set)
     for v in range(graph.n):
         if current.degrees[v] < bounds.upper[v]:
             members.add(v)  # the empty trail already ends at spare capacity
         elif current.degrees[v] > bounds.lower[v] and _escape_trail(
-            graph, bounds, current, {v}
+            graph, bounds, current, {v}, gadget
         ) is not None:
             members.add(v)
     return EvenSet(frozenset(members))
@@ -104,14 +108,19 @@ def _assert_net_effect(
 
 
 def _btight_cycle(
-    cycle: Trail, ctx: Subgraph, graph: Graph, bounds: DegreeBounds, out: list[Move]
+    cycle: Trail,
+    ctx: Subgraph,
+    graph: Graph,
+    bounds: DegreeBounds,
+    out: list[Move],
+    gadget: Gadget | None = None,
 ) -> None:
     if not cycle.is_closed or len(cycle) % 2 != 0:
         raise ContractError("closed even-length cycle expected")
     for v in cycle.vertices:
         if ctx.degrees[v] != bounds.upper[v]:
             raise ContractError(f"cycle vertex {v} is not at its upper bound")
-    escape = _escape_trail(graph, bounds, ctx, set(cycle.vertices))
+    escape = _escape_trail(graph, bounds, ctx, set(cycle.vertices), gadget)
     if escape is None:
         raise LockedCycleError(cycle, "upper-tight")
     snapshot = ctx.copy()

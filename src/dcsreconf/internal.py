@@ -1,6 +1,7 @@
 """Move synthesis for trails reconfigured inside the symmetric difference.
 
-The workhorse is a recursive splitter: an even alternating trail is cut into
+The workhorse is a splitter driven by a work stack (so trail length is not
+limited by the recursion limit): an even alternating trail is cut into
 smaller even pieces whose reconfiguration order is chosen so that every
 piece's entry conditions hold in the subgraph produced by the earlier pieces.
 The base case is a two-edge trail handled by one paired remove/add (ordered
@@ -116,23 +117,26 @@ def _first_valid_order(
 
 
 def _elementary(trail: Trail, ctx: Subgraph, bounds: DegreeBounds, out: list[Move]) -> None:
-    viol = check_internal_conditions(trail, ctx, bounds)
-    if viol is not None:
-        raise NotInternallyReconfigurableError(viol.condition, viol.vertex)
-    t = inside_first(trail, ctx)
-    if len(t) == 2:
-        mid = t.vertices[1]
-        if ctx.degrees[mid] == bounds.upper[mid]:
-            _emit(ctx, bounds, out, REMOVE, t.edges[0])
-            _emit(ctx, bounds, out, ADD, t.edges[1])
-        else:
-            _emit(ctx, bounds, out, ADD, t.edges[1])
-            _emit(ctx, bounds, out, REMOVE, t.edges[0])
-        return
-    if t.is_closed:
-        _elementary_closed(t, ctx, bounds, out)
-    else:
-        _elementary_open(t, ctx, bounds, out)
+    # Pieces are popped in trail order; a piece's split and order are chosen
+    # when it is popped, in the state the pieces before it left behind.
+    stack = [trail]
+    while stack:
+        piece = stack.pop()
+        viol = check_internal_conditions(piece, ctx, bounds)
+        if viol is not None:
+            raise NotInternallyReconfigurableError(viol.condition, viol.vertex)
+        t = inside_first(piece, ctx)
+        if len(t) == 2:
+            mid = t.vertices[1]
+            if ctx.degrees[mid] == bounds.upper[mid]:
+                _emit(ctx, bounds, out, REMOVE, t.edges[0])
+                _emit(ctx, bounds, out, ADD, t.edges[1])
+            else:
+                _emit(ctx, bounds, out, ADD, t.edges[1])
+                _emit(ctx, bounds, out, REMOVE, t.edges[0])
+            continue
+        parts = _closed_split(t, ctx, bounds) if t.is_closed else _open_split(t, ctx, bounds)
+        stack.extend(reversed(parts))
 
 
 # Orderings below are index tuples into [q, r, s]: the freshly cut middle
@@ -140,7 +144,8 @@ def _elementary(trail: Trail, ctx: Subgraph, bounds: DegreeBounds, out: list[Mov
 _THREE_PIECE_ORDERS = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
 
 
-def _elementary_open(t: Trail, ctx: Subgraph, bounds: DegreeBounds, out: list[Move]) -> None:
+def _open_split(t: Trail, ctx: Subgraph, bounds: DegreeBounds) -> tuple[Trail, ...]:
+    """An open trail's pieces in an order whose entry conditions all hold."""
     tt = len(t)
     pivot = None
     for i in range(0, tt - 1, 2):
@@ -163,11 +168,12 @@ def _elementary_open(t: Trail, ctx: Subgraph, bounds: DegreeBounds, out: list[Mo
         order_pool = [(0, 1), (1, 0)]
     else:
         order_pool = _THREE_PIECE_ORDERS
-    for part in _first_valid_order(parts, ctx, bounds, order_pool):
-        _elementary(part, ctx, bounds, out)
+    return _first_valid_order(parts, ctx, bounds, order_pool)
 
 
-def _elementary_closed(t: Trail, ctx: Subgraph, bounds: DegreeBounds, out: list[Move]) -> None:
+def _closed_split(t: Trail, ctx: Subgraph, bounds: DegreeBounds) -> tuple[Trail, Trail]:
+    """A closed trail cut in two, in an order whose entry conditions both hold."""
+
     def loose(v: int) -> bool:
         return bounds.lower[v] < ctx.degrees[v] < bounds.upper[v]
 
@@ -230,11 +236,8 @@ def _elementary_closed(t: Trail, ctx: Subgraph, bounds: DegreeBounds, out: list[
         _flip(ctx, first)
         second_ok = check_internal_conditions(second, ctx, bounds) is None
         _flip(ctx, first)
-        if not second_ok:
-            continue
-        _elementary(first, ctx, bounds, out)
-        _elementary(second, ctx, bounds, out)
-        return
+        if second_ok:
+            return first, second
     raise SynthesisError("no admissible split of the closed trail")
 
 
@@ -281,58 +284,60 @@ def _validate_odd(trail: Trail, ctx: Subgraph, bounds: DegreeBounds, mode: str) 
 
 def _odd_grow(trail: Trail, ctx: Subgraph, bounds: DegreeBounds, out: list[Move]) -> None:
     """Flip an odd trail with outside danglers; net effect adds one edge."""
-    _validate_odd(trail, ctx, bounds, GROW)
-    tt = len(trail)
-    if tt == 1:
-        _emit(ctx, bounds, out, ADD, trail.edges[0])
-        return
-    pivot = None
-    for i in range(1, tt):
-        v = trail.vertices[i]
-        if ctx.degrees[v] > bounds.lower[v]:
-            pivot = i
-            break
-    if pivot is None:
-        # every interior vertex sits at its lower bound: lead with the first edge
-        _emit(ctx, bounds, out, ADD, trail.edges[0])
-        _elementary(trail.segment(1, tt), ctx, bounds, out)
-        return
-    if pivot % 2 == 0:
-        even_part = trail.segment(0, pivot).reversed()
-        rest = trail.segment(pivot, tt)
-    else:
-        even_part = trail.segment(pivot, tt)
-        rest = trail.segment(0, pivot)
-    _elementary(even_part, ctx, bounds, out)
-    _odd_grow(rest, ctx, bounds, out)
+    while True:
+        _validate_odd(trail, ctx, bounds, GROW)
+        tt = len(trail)
+        if tt == 1:
+            _emit(ctx, bounds, out, ADD, trail.edges[0])
+            return
+        pivot = None
+        for i in range(1, tt):
+            v = trail.vertices[i]
+            if ctx.degrees[v] > bounds.lower[v]:
+                pivot = i
+                break
+        if pivot is None:
+            # every interior vertex sits at its lower bound: lead with the first edge
+            _emit(ctx, bounds, out, ADD, trail.edges[0])
+            _elementary(trail.segment(1, tt), ctx, bounds, out)
+            return
+        if pivot % 2 == 0:
+            even_part = trail.segment(0, pivot).reversed()
+            rest = trail.segment(pivot, tt)
+        else:
+            even_part = trail.segment(pivot, tt)
+            rest = trail.segment(0, pivot)
+        _elementary(even_part, ctx, bounds, out)
+        trail = rest
 
 
 def _odd_shrink(trail: Trail, ctx: Subgraph, bounds: DegreeBounds, out: list[Move]) -> None:
     """Flip an odd trail with inside danglers; net effect removes one edge."""
-    _validate_odd(trail, ctx, bounds, SHRINK)
-    tt = len(trail)
-    if tt == 1:
-        _emit(ctx, bounds, out, REMOVE, trail.edges[0])
-        return
-    pivot = None
-    for i in range(1, tt):
-        v = trail.vertices[i]
-        if ctx.degrees[v] < bounds.upper[v]:
-            pivot = i
-            break
-    if pivot is None:
-        # every interior vertex sits at its upper bound: drop the first edge
-        _emit(ctx, bounds, out, REMOVE, trail.edges[0])
-        _elementary(trail.segment(1, tt), ctx, bounds, out)
-        return
-    if pivot % 2 == 0:
-        even_part = trail.segment(0, pivot)
-        rest = trail.segment(pivot, tt).reversed()
-    else:
-        even_part = trail.segment(pivot, tt)
-        rest = trail.segment(0, pivot)
-    _elementary(even_part, ctx, bounds, out)
-    _odd_shrink(rest, ctx, bounds, out)
+    while True:
+        _validate_odd(trail, ctx, bounds, SHRINK)
+        tt = len(trail)
+        if tt == 1:
+            _emit(ctx, bounds, out, REMOVE, trail.edges[0])
+            return
+        pivot = None
+        for i in range(1, tt):
+            v = trail.vertices[i]
+            if ctx.degrees[v] < bounds.upper[v]:
+                pivot = i
+                break
+        if pivot is None:
+            # every interior vertex sits at its upper bound: drop the first edge
+            _emit(ctx, bounds, out, REMOVE, trail.edges[0])
+            _elementary(trail.segment(1, tt), ctx, bounds, out)
+            return
+        if pivot % 2 == 0:
+            even_part = trail.segment(0, pivot)
+            rest = trail.segment(pivot, tt).reversed()
+        else:
+            even_part = trail.segment(pivot, tt)
+            rest = trail.segment(0, pivot)
+        _elementary(even_part, ctx, bounds, out)
+        trail = rest
 
 
 def _closed_even(

@@ -8,7 +8,7 @@ grown by augmenting trails until none exists, which certifies maximality.
 
 from __future__ import annotations
 
-from .augmenting import find_alternating_trail
+from .augmenting import Gadget, find_alternating_trail, growing_trail
 from .core import DegreeBounds, Graph, Subgraph, is_ab_constrained
 from .errors import ContractError, SynthesisError
 from .trail_type import Trail
@@ -44,31 +44,28 @@ def feasible_subgraph(graph: Graph, bounds: DegreeBounds) -> Subgraph | None:
                 sub.add(e)
 
 
-def augment_trail(graph: Graph, bounds: DegreeBounds, sub: Subgraph) -> Trail | None:
-    """A trail whose flip grows ``sub`` by one edge and stays feasible, or None."""
-    room = {v for v in range(graph.n) if sub.degrees[v] < bounds.upper[v]}
-    found = find_alternating_trail(graph, range(graph.m), sub.edge_set, room, room)
-    if found is None:
-        return None
-    if not found.is_closed or sub.degrees[found.vertices[0]] + 2 <= bounds.upper[
-        found.vertices[0]
-    ]:
-        return found
-    for u in sorted(room):
-        sinks = {w for w in room if w != u}
-        if sub.degrees[u] + 2 <= bounds.upper[u]:
-            sinks.add(u)
-        found = find_alternating_trail(graph, range(graph.m), sub.edge_set, {u}, sinks)
-        if found is not None:
-            return found
-    return None
+def augment_trail(
+    graph: Graph, bounds: DegreeBounds, sub: Subgraph, gadget: Gadget | None = None
+) -> Trail | None:
+    """A trail whose flip grows ``sub`` by one edge and stays feasible, or None.
+
+    ``gadget``, when given, spans the whole host around ``sub``.
+    """
+    if gadget is None:
+        gadget = Gadget(graph, range(graph.m), sub.edge_set)
+    return growing_trail(gadget, bounds, sub)
 
 
-def augment(graph: Graph, bounds: DegreeBounds, sub: Subgraph) -> Subgraph | None:
-    """One edge bigger and still feasible, or None iff ``sub`` is maximum."""
+def augment(
+    graph: Graph, bounds: DegreeBounds, sub: Subgraph, gadget: Gadget | None = None
+) -> Subgraph | None:
+    """One edge bigger and still feasible, or None iff ``sub`` is maximum.
+
+    ``gadget``, when given, spans the whole host around ``sub``.
+    """
     if not is_ab_constrained(sub, bounds):
         raise ContractError("augment requires a feasible subgraph")
-    trail = augment_trail(graph, bounds, sub)
+    trail = augment_trail(graph, bounds, sub, gadget)
     if trail is None:
         return None
     out = sub.copy()
@@ -93,8 +90,11 @@ def maximum_dcs(graph: Graph, bounds: DegreeBounds) -> Subgraph | None:
     sub = feasible_subgraph(graph, bounds)
     if sub is None:
         return None
+    gadget = Gadget(graph, range(graph.m), sub.edge_set)
     while True:
-        bigger = augment(graph, bounds, sub)
+        bigger = augment(graph, bounds, sub, gadget)
         if bigger is None:
             return sub
+        for e in sub.edge_set ^ bigger.edge_set:
+            gadget.flip(e)
         sub = bigger

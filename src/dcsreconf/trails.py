@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .augmenting import find_alternating_trail
+from .augmenting import Gadget, find_alternating_trail, growing_trail
 from .core import DegreeBounds, Graph, Subgraph, symmetric_difference
 from .errors import ContractError, SynthesisError
 from .trail_type import Trail, alternates
@@ -12,6 +12,7 @@ from .trail_type import Trail, alternates
 __all__ = [
     "Trail",
     "TrailClass",
+    "find_alternating_trail",
     "find_maximal_alternating_trail",
     "find_augmenting_trail",
     "alternating_trail_decomposition",
@@ -73,40 +74,23 @@ def find_maximal_alternating_trail(diff: Subgraph, current: Subgraph, start_edge
 
 
 def find_augmenting_trail(
-    graph: Graph, bounds: DegreeBounds, current: Subgraph, target: Subgraph
+    graph: Graph,
+    bounds: DegreeBounds,
+    current: Subgraph,
+    target: Subgraph,
+    gadget: Gadget | None = None,
 ) -> Trail | None:
     """A trail in current^target whose flip grows ``current`` by one edge.
 
     The trail starts and ends with target-side edges at vertices that can
     accept another edge; when both ends coincide, that vertex needs room for
-    two. Returns None when no such trail exists.
+    two. Returns None when no such trail exists. A caller searching in a loop
+    passes one ``gadget`` over current^target around ``current`` and keeps it
+    in step with both.
     """
-    pool = current.edge_set ^ target.edge_set
-    if not pool:
-        return None
-    room = {
-        v
-        for v in range(graph.n)
-        if current.degrees[v] < bounds.upper[v]
-    }
-    found = find_alternating_trail(graph, pool, current.edge_set, room, room)
-    if found is not None:
-        if not found.is_closed or current.degrees[found.vertices[0]] + 2 <= bounds.upper[
-            found.vertices[0]
-        ]:
-            return found
-    else:
-        return None
-    # The cheap pass produced a closed trail without headroom; redo the search
-    # once per admissible start so acceptance can depend on the start vertex.
-    for u in sorted(room):
-        sinks = {w for w in room if w != u}
-        if current.degrees[u] + 2 <= bounds.upper[u]:
-            sinks.add(u)
-        found = find_alternating_trail(graph, pool, current.edge_set, {u}, sinks)
-        if found is not None:
-            return found
-    return None
+    if gadget is None:
+        gadget = Gadget(graph, current.edge_set ^ target.edge_set, current.edge_set)
+    return growing_trail(gadget, bounds, current)
 
 
 def alternating_trail_decomposition(
@@ -124,14 +108,16 @@ def alternating_trail_decomposition(
     snapshots: list[Subgraph] = []
     trails: list[Trail] = []
     cur = source.copy()
+    gadget = Gadget(graph, source.edge_set ^ target.edge_set, source.edge_set)
     while cur != target:
         snapshots.append(cur.copy())
-        trail = find_augmenting_trail(graph, bounds, cur, target)
+        trail = find_augmenting_trail(graph, bounds, cur, target, gadget)
         if trail is None:
             diff = symmetric_difference(cur, target)
             trail = find_maximal_alternating_trail(diff, cur, min(diff.edge_set))
         trails.append(trail)
         for e in trail.edges:
+            gadget.drop(e)
             if e in cur:
                 cur.remove(e)
             else:

@@ -109,3 +109,11 @@ def test_decompose_equal_endpoints(tmp_path, capsys):
     i = inst(g, bounds(g, 0, 1), [0], [0], 1)
     assert main(["decompose", write_instance(tmp_path, i)]) == 0
     assert json.loads(capsys.readouterr().out)["trails"] == []
+
+
+def test_decide_long_path_exits_zero(tmp_path, capsys):
+    g = path_graph(1001)
+    i = inst(g, bounds(g, 0, 1), range(0, 1000, 2), range(1, 1000, 2), 1)
+    assert main(["decide", write_instance(tmp_path, i)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["answer"] == "yes"

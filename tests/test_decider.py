@@ -283,3 +283,24 @@ def test_no_witness_cycles_lie_in_the_difference():
         if d.witness.kind == LOCKED_B_TIGHT_CYCLE:
             fixed = m_fixed_subgraph(g, b, s1)
             assert not (set(d.witness.cycle.edges) & fixed.edge_set)
+
+
+def long_path_swap(m: int) -> Instance:
+    """A path of ``m`` edges, a=0 and b=1, even edges to odd edges at slack 1."""
+    g = path_graph(m + 1)
+    return inst(g, bounds(g, 0, 1), range(0, m, 2), range(1, m, 2), 1)
+
+
+def test_long_path_swap_does_not_exhaust_the_stack():
+    i = long_path_swap(1200)
+    d = decide(i)
+    assert d.yes
+    assert verify_move_sequence(i, list(d.moves))
+
+
+def test_long_upper_tight_cycle_swap_does_not_exhaust_the_stack():
+    g = cycle_graph(1200)
+    i = inst(g, bounds(g, 0, 1), range(0, 1200, 2), range(1, 1200, 2), 2)
+    d = decide(i)
+    assert d.yes
+    assert verify_move_sequence(i, list(d.moves))

@@ -18,6 +18,14 @@ then tau (outside ports at an add sink, member ports at a remove sink). One
 gadget serves every search of a loop: ``drop`` takes an edge out of the pool,
 ``flip`` moves it to the other side, and each search resets only the nodes it
 reached. ``find_alternating_trail`` is the one-shot form.
+
+A search pays for what it finds where it can: when a non-member edge joins a
+source to an add sink, the root's expansion returns it as a one-edge trail
+before it queues anything else, which is the trail the full search would
+return. Growing-trail searches (``growing_trail``) take the set of vertices
+with room from their caller: a loop that peels trails computes it once with
+``vertex_room`` and re-tests only each peeled trail's vertices with
+``refresh_room``, since a flip changes degrees nowhere else.
 """
 
 from __future__ import annotations
@@ -119,16 +127,36 @@ def find_alternating_trail(
     return Gadget(graph, pool, member).search(sources, add_sinks, remove_sinks)
 
 
-def growing_trail(gadget: Gadget, bounds: DegreeBounds, current: Subgraph) -> Trail | None:
+def vertex_room(bounds: DegreeBounds, current: Subgraph) -> set[int]:
+    """The vertices of ``current`` below their upper bound."""
+    degrees, upper = current.degrees, bounds.upper
+    return set(compress(range(len(degrees)), map(lt, degrees, upper)))
+
+
+def refresh_room(
+    room: set[int], bounds: DegreeBounds, current: Subgraph, vertices: Iterable[int]
+) -> None:
+    """Re-test ``vertices`` after their degrees in ``current`` changed."""
+    degrees, upper = current.degrees, bounds.upper
+    for v in vertices:
+        if degrees[v] < upper[v]:
+            room.add(v)
+        else:
+            room.discard(v)
+
+
+def growing_trail(
+    gadget: Gadget, bounds: DegreeBounds, current: Subgraph, room: set[int]
+) -> Trail | None:
     """A trail in the gadget's pool whose flip grows ``current`` by one edge.
 
-    The gadget's member set must be ``current``. The trail starts and ends
-    with non-member edges at vertices that can accept another edge; when both
-    ends coincide, that vertex needs room for two. Returns None when no such
-    trail exists.
+    The gadget's member set must be ``current`` and ``room`` must be
+    ``vertex_room(bounds, current)``; neither is changed. The trail starts and
+    ends with non-member edges at vertices that can accept another edge; when
+    both ends coincide, that vertex needs room for two. Returns None when no
+    such trail exists.
     """
     degrees, upper = current.degrees, bounds.upper
-    room = set(compress(range(len(degrees)), map(lt, degrees, upper)))
     found = gadget.search(room, room)
     if found is None or not found.is_closed or degrees[found.vertices[0]] + 2 <= upper[
         found.vertices[0]
@@ -172,11 +200,15 @@ def _augmenting_node_path(
 ) -> list[int] | None:
     """Blossom search for an augmenting path from sigma to tau.
 
-    Blossom contraction keeps explicit member lists per base class (in a
-    per-search dict) so each event touches only the absorbed nodes. The
-    gadget's search arrays are left as found: the queue keeps every outer
-    node, every other node the search reached is the partner of one (or tau),
-    and ``stamp`` is versioned by a running epoch.
+    The root's expansion returns ``[sigma, u, w, tau]`` as soon as a root
+    child ``u`` (an outside port at a source) has its partner ``w`` at an add
+    sink, so a search that finds a one-edge trail costs about as much as the
+    ports it passes on the way. Blossom contraction keeps explicit member
+    lists per base class (in a per-search dict) so each event touches only the
+    absorbed nodes. The gadget's search arrays are left as found, early return
+    included: the queue keeps every outer node, every other node the search
+    reached is the partner of one (or tau), and ``stamp`` is versioned by a
+    running epoch.
     """
     parent, base, used, stamp = gadget.parent, gadget.base, gadget.used, gadget.stamp
     match, vertex_of, inside = gadget.match, gadget.vertex_of, gadget.inside
@@ -217,9 +249,19 @@ def _augmenting_node_path(
         # becomes inner; when its partner is inner already (both ends of the
         # edge are sources), the edge closes a blossom whose base is the root.
         # The root's class is never absorbed, so its member list is not kept.
+        #
+        # The first root child whose partner sits at an add sink ends the
+        # search with the one-edge path the full search would return: the
+        # main loop pops the root children's partners first, in this order;
+        # an outside partner links to tau only when its vertex is an add
+        # sink; and nothing popped before it can return, because blossoms
+        # only append to the queue. What was set so far is in the queue and
+        # is reset below.
         for x in sorted(sources):
             for u in outside_at[x]:
                 w = match[u]
+                if vertex_of[w] in add_sinks:
+                    return [_SIGMA, u, w, _TAU]
                 parent[u] = root
                 if parent[w] != -1:
                     base[u] = base[w] = root

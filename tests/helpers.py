@@ -30,6 +30,17 @@ def inst(g: Graph, b: DegreeBounds, source, target, k: int) -> Instance:
     return instance
 
 
+def flipped(current: Subgraph, trail) -> Subgraph:
+    """A copy of ``current`` with the trail's edges flipped."""
+    out = current.copy()
+    for e in trail.edges:
+        if e in out:
+            out.remove(e)
+        else:
+            out.add(e)
+    return out
+
+
 def cycle_graph(n: int) -> Graph:
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
@@ -148,3 +159,16 @@ def random_connected_graph(rng, n: int, m: int) -> Graph:
     for pair in pool[: max(0, m - len(edges))]:
         edges.add(pair)
     return Graph(n, sorted(edges))
+
+
+def loose_instance(rng, n: int, m: int) -> Instance:
+    """Random source and target (each edge with probability 0.4) on a random
+    connected host, bounds one below and one above their degrees, k in 1..3."""
+    g = random_connected_graph(rng, n, m)
+    s1 = Subgraph(g, [e for e in range(g.m) if rng.random() < 0.4])
+    s2 = Subgraph(g, [e for e in range(g.m) if rng.random() < 0.4])
+    lower = [max(0, min(s1.degrees[v], s2.degrees[v]) - 1) for v in range(g.n)]
+    upper = [
+        min(g.degree[v], max(s1.degrees[v], s2.degrees[v]) + 1) for v in range(g.n)
+    ]
+    return Instance(g, DegreeBounds(g, lower, upper), s1, s2, rng.choice([1, 2, 3]))

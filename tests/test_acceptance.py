@@ -8,13 +8,7 @@ import random
 import time
 from functools import lru_cache
 
-from dcsreconf.core import (
-    DegreeBounds,
-    Instance,
-    Subgraph,
-    is_ab_constrained,
-    verify_move_sequence,
-)
+from dcsreconf.core import Instance, is_ab_constrained, verify_move_sequence
 from dcsreconf.decider import (
     FIXED_EDGE,
     LOCKED_ALT_AB_TIGHT_CYCLE,
@@ -38,6 +32,7 @@ from helpers import (
     cycle_graph,
     feasible_subsets,
     graphs_up_to_iso,
+    loose_instance,
     random_bounds,
     random_connected_graph,
     sub,
@@ -146,17 +141,6 @@ def test_criterion_2_certificate_validity():
     print(f"criterion 2 (certificate validity): PASS — {len(suite)} certificates checked")
 
 
-def _loose_instance(rng, n, m):
-    g = random_connected_graph(rng, n, m)
-    s1 = Subgraph(g, [e for e in range(g.m) if rng.random() < 0.4])
-    s2 = Subgraph(g, [e for e in range(g.m) if rng.random() < 0.4])
-    lower = [max(0, min(s1.degrees[v], s2.degrees[v]) - 1) for v in range(g.n)]
-    upper = [
-        min(g.degree[v], max(s1.degrees[v], s2.degrees[v]) + 1) for v in range(g.n)
-    ]
-    return Instance(g, DegreeBounds(g, lower, upper), s1, s2, rng.choice([1, 2, 3]))
-
-
 def test_criterion_3_step_bound():
     decisions = suite_decisions()
     checked = 0
@@ -170,7 +154,7 @@ def test_criterion_3_step_bound():
     sizes += [rng.randint(1200, 2000) for _ in range(5)]
     for m in sizes:
         n = max(5, m // 3)
-        inst = _loose_instance(rng, n, m)
+        inst = loose_instance(rng, n, m)
         decision = decide(inst)
         if decision.yes:
             assert len(decision.moves) <= inst.graph.m**2 + 2 * inst.graph.m
@@ -303,7 +287,7 @@ def test_criterion_8_fixed_subgraph_stability():
 
 def test_criterion_9_performance_smoke():
     rng = random.Random(23)
-    inst = _loose_instance(rng, 200, 600)
+    inst = loose_instance(rng, 200, 600)
     start = time.perf_counter()
     decision = decide(inst)
     elapsed = time.perf_counter() - start

@@ -69,3 +69,23 @@ def test_search_leaves_the_gadget_state_as_found():
     assert gadget.search({3}, set(), {3}) == Trail((3, 0, 1, 2, 3), (3, 0, 1, 2))
     assert gadget.search({1}, {1}) is None
     assert (gadget.parent, gadget.base, gadget.used) == before
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_one_edge_trail_is_preferred(data):
+    """A non-member edge from a source to an add sink is returned on its own:
+    the first one by source vertex, then by pool order."""
+    g, gadget, pool, member = data.draw(edited_gadgets())
+    sources, add_sinks, remove_sinks = data.draw(terminals(g.n))
+    first = next(
+        (
+            Trail((x, g.other_end(e, x)), (e,))
+            for x in sorted(sources)
+            for e in sorted(pool - member)
+            if x in g.edges[e] and g.other_end(e, x) in add_sinks
+        ),
+        None,
+    )
+    if first is not None:
+        assert gadget.search(sources, add_sinks, remove_sinks) == first

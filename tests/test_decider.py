@@ -13,12 +13,15 @@ from dcsreconf.decider import (
 )
 from dcsreconf.obstructions import m_fixed_subgraph
 from dcsreconf.oracle import enumerate_ab_constrained, oracle_decide
+from dcsreconf.trails import find_augmenting_trail
 
 from helpers import (
     bounds,
     cycle_graph,
+    flipped,
     graph,
     inst,
+    loose_instance,
     path_graph,
     random_bounds,
     random_connected_graph,
@@ -304,3 +307,32 @@ def test_long_upper_tight_cycle_swap_does_not_exhaust_the_stack():
     d = decide(i)
     assert d.yes
     assert verify_move_sequence(i, list(d.moves))
+
+
+def test_peeled_growing_trails_match_fresh_searches():
+    """Replaying the trace, each trail is grown exactly when a fresh search
+    (fresh gadget, fresh vertex room) finds a growing trail, and it is that
+    trail."""
+    rng = random.Random(12)
+    grown = 0
+    for _ in range(60):
+        m = rng.randint(8, 60)
+        instance = loose_instance(rng, max(5, m // 3), m)
+        if m_fixed_subgraph(instance.graph, instance.bounds, instance.source).edge_set:
+            continue
+        decision, trace = decide_with_trace(instance)
+        start, end = sorted((instance.source, instance.target), key=len)
+        if trace and trace[-1].trail_class == "detour-release":
+            end = flipped(end, trace[-1].trail)
+            trace = trace[:-1]
+        cur = start
+        for entry in trace:
+            fresh = find_augmenting_trail(instance.graph, instance.bounds, cur, end)
+            assert (entry.rule == "grow") == (fresh is not None)
+            if fresh is not None:
+                assert entry.trail == fresh
+                grown += 1
+            cur = flipped(cur, entry.trail)
+        if decision.yes:
+            assert cur == end
+    assert grown > 0

@@ -31,7 +31,7 @@ from dcsreconf.oracle import enumerate_ab_constrained
 from dcsreconf.trail_type import Trail
 from dcsreconf.trails import alternating_trail_decomposition, classify_trail, TrailClass
 
-from helpers import bounds, cycle_graph, graph, path_graph, random_bounds, sub
+from helpers import bounds, cycle_graph, flipped, graph, path_graph, random_bounds, sub
 
 from test_trails import figure_like_two_loop_host
 
@@ -43,16 +43,6 @@ def apply_all(current, moves):
             out.add(m.edge)
         else:
             out.remove(m.edge)
-    return out
-
-
-def flipped(current, trail):
-    out = current.copy()
-    for e in trail.edges:
-        if e in out:
-            out.remove(e)
-        else:
-            out.add(e)
     return out
 
 

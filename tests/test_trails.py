@@ -4,7 +4,7 @@ import random
 import pytest
 
 from dcsreconf.augmenting import find_alternating_trail
-from dcsreconf.core import DegreeBounds, Graph, Subgraph, is_ab_constrained
+from dcsreconf.core import DegreeBounds, Graph, Subgraph, is_ab_constrained, symmetric_difference
 from dcsreconf.errors import ContractError
 from dcsreconf.oracle import enumerate_ab_constrained
 from dcsreconf.trail_type import Trail
@@ -17,7 +17,7 @@ from dcsreconf.trails import (
     is_alternatingly_ab_tight,
 )
 
-from helpers import bounds, cycle_graph, graph, path_graph, random_bounds, sub
+from helpers import bounds, cycle_graph, graph, loose_instance, path_graph, random_bounds, sub
 
 
 def brute_has_trail(g, pool, member, sources, add_sinks, remove_sinks):
@@ -179,6 +179,30 @@ def test_decomposition_cycle_swap_is_single_closed_trail():
     )
     assert len(trails) == 1
     assert trails[0].is_closed and len(trails[0]) == 4
+
+
+def test_decomposition_takes_the_trails_of_fresh_searches():
+    """The peel loop keeps one gadget and one room set in step with its
+    subgraph; every trail it takes is the one a fresh search would take."""
+    rng = random.Random(11)
+    grown = 0
+    for _ in range(60):
+        m = rng.randint(8, 60)
+        inst = loose_instance(rng, max(5, m // 3), m)
+        if inst.source == inst.target:
+            continue
+        snaps, trails = alternating_trail_decomposition(
+            inst.graph, inst.bounds, inst.source, inst.target
+        )
+        for snap, trail in zip(snaps, trails):
+            fresh = find_augmenting_trail(inst.graph, inst.bounds, snap, inst.target)
+            if fresh is None:
+                diff = symmetric_difference(snap, inst.target)
+                fresh = find_maximal_alternating_trail(diff, snap, min(diff.edge_set))
+            else:
+                grown += 1
+            assert trail == fresh
+    assert grown > 0
 
 
 def figure_like_two_loop_host():

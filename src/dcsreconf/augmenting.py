@@ -22,17 +22,14 @@ reached. ``find_alternating_trail`` is the one-shot form.
 A search pays for what it finds where it can: when a non-member edge joins a
 source to an add sink, the root's expansion returns it as a one-edge trail
 before it queues anything else, which is the trail the full search would
-return. Growing-trail searches (``growing_trail``) take the set of vertices
-with room from their caller: a loop that peels trails computes it once with
-``vertex_room`` and re-tests only each peeled trail's vertices with
-``refresh_room``, since a flip changes degrees nowhere else.
+return. A gadget also keeps the set of vertices with an outside port, the only
+vertices where a growing trail (``growing_trail``) can start or end, so a
+growing-trail search tests room there rather than at every vertex.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from itertools import compress
-from operator import lt
 from typing import Iterable
 
 from .core import DegreeBounds, Graph, Subgraph
@@ -47,7 +44,8 @@ class Gadget:
 
     Node ``2 + 2j`` is the port of the pool's ``j``-th edge (in index order)
     at its first endpoint and ``3 + 2j`` the one at its second; the numbering
-    stays fixed when edges are dropped or flipped.
+    stays fixed when edges are dropped or flipped. ``outside_vertices`` holds
+    the vertices with at least one outside port.
     """
 
     def __init__(self, graph: Graph, pool: Iterable[int], member: set[int]):
@@ -62,6 +60,7 @@ class Gadget:
             (inside_at if inside[port] else outside_at)[vertex_of[port]].append(port)
         self.vertex_of, self.inside = vertex_of, inside
         self.inside_at, self.outside_at = inside_at, outside_at
+        self.outside_vertices = {x for x, ports in enumerate(outside_at) if ports}
         self.match = [-1, -1] + [p ^ 1 for p in range(2, n_nodes)]
         self.parent = [-1] * n_nodes
         self.base = list(range(n_nodes))
@@ -82,6 +81,8 @@ class Gadget:
             self._unlink(port)
             self.inside[port] = not self.inside[port]
             insort(self._side_list(port), port)
+            if not self.inside[port]:
+                self.outside_vertices.add(self.vertex_of[port])
 
     def _side_list(self, port: int) -> list[int]:
         at = self.inside_at if self.inside[port] else self.outside_at
@@ -90,6 +91,8 @@ class Gadget:
     def _unlink(self, port: int) -> None:
         ports = self._side_list(port)
         del ports[bisect_left(ports, port)]
+        if not ports and not self.inside[port]:
+            self.outside_vertices.discard(self.vertex_of[port])
 
     def search(
         self,
@@ -127,36 +130,18 @@ def find_alternating_trail(
     return Gadget(graph, pool, member).search(sources, add_sinks, remove_sinks)
 
 
-def vertex_room(bounds: DegreeBounds, current: Subgraph) -> set[int]:
-    """The vertices of ``current`` below their upper bound."""
-    degrees, upper = current.degrees, bounds.upper
-    return set(compress(range(len(degrees)), map(lt, degrees, upper)))
-
-
-def refresh_room(
-    room: set[int], bounds: DegreeBounds, current: Subgraph, vertices: Iterable[int]
-) -> None:
-    """Re-test ``vertices`` after their degrees in ``current`` changed."""
-    degrees, upper = current.degrees, bounds.upper
-    for v in vertices:
-        if degrees[v] < upper[v]:
-            room.add(v)
-        else:
-            room.discard(v)
-
-
-def growing_trail(
-    gadget: Gadget, bounds: DegreeBounds, current: Subgraph, room: set[int]
-) -> Trail | None:
+def growing_trail(gadget: Gadget, bounds: DegreeBounds, current: Subgraph) -> Trail | None:
     """A trail in the gadget's pool whose flip grows ``current`` by one edge.
 
-    The gadget's member set must be ``current`` and ``room`` must be
-    ``vertex_room(bounds, current)``; neither is changed. The trail starts and
-    ends with non-member edges at vertices that can accept another edge; when
-    both ends coincide, that vertex needs room for two. Returns None when no
-    such trail exists.
+    The gadget's member set must be ``current``. The trail starts and ends
+    with non-member edges at vertices that can accept another edge; when both
+    ends coincide, that vertex needs room for two. Returns None when no such
+    trail exists.
     """
     degrees, upper = current.degrees, bounds.upper
+    # Only a vertex with a non-member edge in the pool can start or end a
+    # growing trail, so room is tested there alone.
+    room = {v for v in gadget.outside_vertices if degrees[v] < upper[v]}
     found = gadget.search(room, room)
     if found is None or not found.is_closed or degrees[found.vertices[0]] + 2 <= upper[
         found.vertices[0]

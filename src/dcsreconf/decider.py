@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .augmenting import Gadget, refresh_room, vertex_room
+from .augmenting import Gadget
 from .core import Instance, Move, Subgraph, reversed_moves, verify_move_sequence
 from .errors import LockedCycleError, SynthesisError
 from .external import _alt_cycle, _btight_cycle, exists_unlocking_subgraph
@@ -180,13 +180,11 @@ def _process(inst: Instance, trace: list[TraceEntry], max_regime: bool) -> Decis
     remaining = Subgraph(graph, inst.source.edge_set ^ inst.target.edge_set)
     # Every rule's net effect is exactly its trail's flip, so one gadget over
     # the difference (dropping peeled edges) serves every growing-trail
-    # search, one whole-host gadget (flipping them) every escape search, and
-    # vertex room changes only at the peeled trail's vertices.
+    # search, and one whole-host gadget (flipping them) every escape search.
     pool = Gadget(graph, remaining.edge_set, ctx.edge_set)
-    room = vertex_room(bounds, ctx)
     host: Gadget | None = None
     while remaining.edge_set:
-        searched = find_augmenting_trail(graph, bounds, ctx, inst.target, pool, room)
+        searched = find_augmenting_trail(graph, bounds, ctx, inst.target, pool)
         if searched is not None:
             trail = searched
         else:
@@ -242,7 +240,6 @@ def _process(inst: Instance, trace: list[TraceEntry], max_regime: bool) -> Decis
             pool.drop(e)
             if host is not None:
                 host.flip(e)
-        refresh_room(room, bounds, ctx, trail.vertices)
     if ctx != inst.target:
         raise SynthesisError("trail processing did not arrive at the target")
     return Decision.accept(out)

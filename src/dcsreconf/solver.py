@@ -8,7 +8,7 @@ grown by augmenting trails until none exists, which certifies maximality.
 
 from __future__ import annotations
 
-from .augmenting import Gadget, find_alternating_trail, growing_trail, vertex_room
+from .augmenting import Gadget, find_alternating_trail, growing_trail
 from .core import DegreeBounds, Graph, Subgraph, is_ab_constrained
 from .errors import ContractError, SynthesisError
 from .trail_type import Trail
@@ -45,22 +45,15 @@ def feasible_subgraph(graph: Graph, bounds: DegreeBounds) -> Subgraph | None:
 
 
 def augment_trail(
-    graph: Graph,
-    bounds: DegreeBounds,
-    sub: Subgraph,
-    gadget: Gadget | None = None,
-    room: set[int] | None = None,
+    graph: Graph, bounds: DegreeBounds, sub: Subgraph, gadget: Gadget | None = None
 ) -> Trail | None:
     """A trail whose flip grows ``sub`` by one edge and stays feasible, or None.
 
-    ``gadget``, when given, spans the whole host around ``sub``; ``room``,
-    when given, is ``augmenting.vertex_room(bounds, sub)``.
+    ``gadget``, when given, spans the whole host around ``sub``.
     """
     if gadget is None:
         gadget = Gadget(graph, range(graph.m), sub.edge_set)
-    if room is None:
-        room = vertex_room(bounds, sub)
-    return growing_trail(gadget, bounds, sub, room)
+    return growing_trail(gadget, bounds, sub)
 
 
 def augment(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .augmenting import Gadget, find_alternating_trail, growing_trail, refresh_room, vertex_room
+from .augmenting import Gadget, find_alternating_trail, growing_trail
 from .core import DegreeBounds, Graph, Subgraph, symmetric_difference
 from .errors import ContractError, SynthesisError
 from .trail_type import Trail, alternates
@@ -79,22 +79,18 @@ def find_augmenting_trail(
     current: Subgraph,
     target: Subgraph,
     gadget: Gadget | None = None,
-    room: set[int] | None = None,
 ) -> Trail | None:
     """A trail in current^target whose flip grows ``current`` by one edge.
 
     The trail starts and ends with target-side edges at vertices that can
     accept another edge; when both ends coincide, that vertex needs room for
     two. Returns None when no such trail exists. A caller searching in a loop
-    passes one ``gadget`` over current^target around ``current`` and the
-    ``room`` set of ``augmenting.vertex_room``, and keeps both in step with
-    ``current``.
+    passes one ``gadget`` over current^target around ``current`` and keeps it
+    in step with both.
     """
     if gadget is None:
         gadget = Gadget(graph, current.edge_set ^ target.edge_set, current.edge_set)
-    if room is None:
-        room = vertex_room(bounds, current)
-    return growing_trail(gadget, bounds, current, room)
+    return growing_trail(gadget, bounds, current)
 
 
 def alternating_trail_decomposition(
@@ -113,10 +109,9 @@ def alternating_trail_decomposition(
     trails: list[Trail] = []
     cur = source.copy()
     gadget = Gadget(graph, source.edge_set ^ target.edge_set, source.edge_set)
-    room = vertex_room(bounds, cur)
     while cur != target:
         snapshots.append(cur.copy())
-        trail = find_augmenting_trail(graph, bounds, cur, target, gadget, room)
+        trail = find_augmenting_trail(graph, bounds, cur, target, gadget)
         if trail is None:
             diff = symmetric_difference(cur, target)
             trail = find_maximal_alternating_trail(diff, cur, min(diff.edge_set))
@@ -127,7 +122,6 @@ def alternating_trail_decomposition(
                 cur.remove(e)
             else:
                 cur.add(e)
-        refresh_room(room, bounds, cur, trail.vertices)
         if not all(bounds.lower[v] <= cur.degrees[v] <= bounds.upper[v] for v in range(graph.n)):
             raise SynthesisError("decomposition produced an infeasible intermediate subgraph")
     return snapshots, trails

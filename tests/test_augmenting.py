@@ -5,8 +5,8 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcsreconf.augmenting import Gadget, find_alternating_trail
-from dcsreconf.core import Graph
+from dcsreconf.augmenting import Gadget, find_alternating_trail, growing_trail
+from dcsreconf.core import DegreeBounds, Graph, Subgraph
 from dcsreconf.trail_type import Trail
 
 
@@ -89,3 +89,40 @@ def test_one_edge_trail_is_preferred(data):
     )
     if first is not None:
         assert gadget.search(sources, add_sinks, remove_sinks) == first
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_edited_gadget_tracks_outside_vertices(data):
+    g, gadget, pool, member = data.draw(edited_gadgets())
+    assert gadget.outside_vertices == {x for e in pool - member for x in g.edges[e]}
+
+
+def growing_trail_over_every_vertex(g, pool, member, degrees, upper):
+    """``growing_trail`` on fresh gadgets, testing room at every vertex."""
+    room = {v for v in range(g.n) if degrees[v] < upper[v]}
+    found = find_alternating_trail(g, pool, member, room, room)
+    if found is None or not found.is_closed or degrees[found.vertices[0]] + 2 <= upper[
+        found.vertices[0]
+    ]:
+        return found
+    for u in sorted(room):
+        sinks = {w for w in room if w != u or degrees[u] + 2 <= upper[u]}
+        found = find_alternating_trail(g, pool, member, {u}, sinks)
+        if found is not None:
+            return found
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_growing_trail_tests_room_only_where_a_trail_can_end(data):
+    """Room tested only at vertices with an outside port gives the same trail."""
+    g, gadget, pool, member = data.draw(edited_gadgets())
+    rest = sorted(set(range(g.m)) - pool)
+    extra = data.draw(st.lists(st.sampled_from(rest), unique=True)) if rest else []
+    current = Subgraph(g, member | set(extra))
+    upper = [data.draw(st.integers(0, g.degree[v])) for v in range(g.n)]
+    bounds = DegreeBounds(g, [0] * g.n, upper)
+    want = growing_trail_over_every_vertex(g, pool, member, current.degrees, upper)
+    assert growing_trail(gadget, bounds, current) == want

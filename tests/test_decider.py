@@ -311,8 +311,7 @@ def test_long_upper_tight_cycle_swap_does_not_exhaust_the_stack():
 
 def test_peeled_growing_trails_match_fresh_searches():
     """Replaying the trace, each trail is grown exactly when a fresh search
-    (fresh gadget, fresh vertex room) finds a growing trail, and it is that
-    trail."""
+    (on a fresh gadget) finds a growing trail, and it is that trail."""
     rng = random.Random(12)
     grown = 0
     for _ in range(60):

@@ -182,8 +182,8 @@ def test_decomposition_cycle_swap_is_single_closed_trail():
 
 
 def test_decomposition_takes_the_trails_of_fresh_searches():
-    """The peel loop keeps one gadget and one room set in step with its
-    subgraph; every trail it takes is the one a fresh search would take."""
+    """The peel loop keeps one gadget (and its outside vertices) in step with
+    its subgraph; every trail it takes is the one a fresh search would take."""
     rng = random.Random(11)
     grown = 0
     for _ in range(60):

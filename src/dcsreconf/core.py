@@ -2,13 +2,14 @@
 
 Edges carry stable integer indices assigned at construction time; every other
 module exchanges edge indices, never endpoint pairs, so that trails revisiting
-vertices stay unambiguous.
+vertices stay unambiguous. Switching edges off (``Graph.without``) keeps
+those indices, so there is one edge index space throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import IllegalMoveError, InputError
 
@@ -17,7 +18,11 @@ REMOVE = "remove"
 
 
 class Graph:
-    """Simple undirected graph with ``n`` vertices labelled ``0..n-1``."""
+    """Simple undirected graph with ``n`` vertices labelled ``0..n-1``.
+
+    ``edge_ids`` lists the edges switched on, in index order: all of
+    ``range(m)`` on a constructed graph, fewer on a view from ``without``.
+    """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -40,6 +45,21 @@ class Graph:
             self.incident[v].append(idx)
         self.m = len(self.edges)
         self.degree = [len(self.incident[v]) for v in range(n)]
+        self.edge_ids: Sequence[int] = range(self.m)
+
+    def without(self, frozen: Iterable[int]) -> Graph:
+        """The same graph with the ``frozen`` edges switched off.
+
+        The view shares ``edges``, ``m`` and every edge index; ``incident``,
+        ``degree`` and ``edge_ids`` leave the frozen edges out.
+        """
+        frozen = set(frozen)
+        view = Graph.__new__(Graph)
+        view.n, view.m, view.edges = self.n, self.m, self.edges
+        view.incident = [[e for e in inc if e not in frozen] for inc in self.incident]
+        view.degree = [len(inc) for inc in view.incident]
+        view.edge_ids = [e for e in self.edge_ids if e not in frozen]
+        return view
 
     def endpoints(self, e: int) -> tuple[int, int]:
         return self.edges[e]
@@ -108,6 +128,14 @@ class Subgraph:
         u, v = self.graph.edges[e]
         self.degrees[u] -= 1
         self.degrees[v] -= 1
+
+    def flip(self, edges: Iterable[int]) -> None:
+        """Remove each of ``edges`` that is present and add each that is not."""
+        for e in edges:
+            if e in self.edge_set:
+                self.remove(e)
+            else:
+                self.add(e)
 
     def copy(self) -> Subgraph:
         out = Subgraph.__new__(Subgraph)

@@ -1,6 +1,7 @@
 """Top-level decision procedure with verified certificates.
 
-Pipeline: detect fixed-edge conflicts, restrict away the fixed subgraph,
+Pipeline: detect fixed-edge conflicts, switch the fixed edges off (they keep
+their indices, so moves, witnesses and trace entries need no mapping back),
 orient so the source is no larger than the target, then peel alternating
 trails (preferring growing ones) and dispatch each by its class. At slack 1
 with equal sizes the procedure either works between maximum subgraphs (where
@@ -97,31 +98,7 @@ def _decide_core(inst: Instance, trace: list[TraceEntry]) -> Decision:
     conflict = fixed_edge_witness(inst.source, inst.target, fixed)
     if conflict is not None:
         return Decision.reject(Witness(FIXED_EDGE, edge=conflict, context="any slack"))
-    if not fixed.edge_set:
-        # Restricting away nothing would rebuild the same instance: the upper
-        # bounds never exceed the degrees, so the clamp leaves them as given.
-        return _solve(inst, trace)
-    sub = restrict_instance(inst, fixed)
-    mark = len(trace)
-    decision = _solve(sub, trace)
-    for i in range(mark, len(trace)):
-        entry = trace[i]
-        lifted = Trail(
-            entry.trail.vertices, tuple(sub.lift_edge(e) for e in entry.trail.edges)
-        )
-        trace[i] = TraceEntry(entry.trail_class, entry.rule, entry.moves, lifted)
-    return _lift(decision, sub)
-
-
-def _lift(decision: Decision, sub) -> Decision:
-    if decision.yes:
-        return Decision.accept(Move(m.kind, sub.lift_edge(m.edge)) for m in decision.moves)
-    w = decision.witness
-    cycle = None
-    if w.cycle is not None:
-        cycle = Trail(w.cycle.vertices, tuple(sub.lift_edge(e) for e in w.cycle.edges))
-    edge = sub.lift_edge(w.edge) if w.edge is not None else None
-    return Decision.reject(Witness(w.kind, edge=edge, cycle=cycle, context=w.context))
+    return _solve(restrict_instance(inst, fixed), trace)
 
 
 def _solve(inst: Instance, trace: list[TraceEntry]) -> Decision:
@@ -146,11 +123,7 @@ def _solve_equal_nonmax(inst: Instance, trace: list[TraceEntry]) -> Decision:
     if grow is None:
         raise SynthesisError("non-maximum subgraph admits no growing trail")
     bigger = inst.target.copy()
-    for e in grow.edges:
-        if e in bigger:
-            bigger.remove(e)
-        else:
-            bigger.add(e)
+    bigger.flip(grow.edges)
     inner = Instance(inst.graph, inst.bounds, inst.source, bigger, 1)
     decision = _process(inner, trace, max_regime=False)
     if decision.yes:
@@ -169,8 +142,7 @@ def _solve_equal_nonmax(inst: Instance, trace: list[TraceEntry]) -> Decision:
     # by the detour). Its edges can never change from the source state, so
     # freeze them and decide the rest.
     frozen = Subgraph(inst.graph, witness.cycle.edges)
-    sub = restrict_instance(inst, frozen)
-    return _lift(_decide_core(sub, trace), sub)
+    return _decide_core(restrict_instance(inst, frozen), trace)
 
 
 def _process(inst: Instance, trace: list[TraceEntry], max_regime: bool) -> Decision:
@@ -211,7 +183,7 @@ def _process(inst: Instance, trace: list[TraceEntry], max_regime: bool) -> Decis
         elif cls is TrailClass.B_TIGHT_CYCLE:
             if max_regime:
                 if host is None:
-                    host = Gadget(graph, range(graph.m), ctx.edge_set)
+                    host = Gadget(graph, graph.edge_ids, ctx.edge_set)
                 try:
                     _btight_cycle(trail, ctx, graph, bounds, out, host)
                     rule = "tight-cycle-escape"

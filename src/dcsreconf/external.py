@@ -56,7 +56,7 @@ def _escape_trail(
     goals = {v for v in candidates if current.degrees[v] > bounds.lower[v]}
     if gadget is None:
         found = find_alternating_trail(
-            graph, range(graph.m), current.edge_set, slack, set(), goals
+            graph, graph.edge_ids, current.edge_set, slack, set(), goals
         )
     else:
         found = gadget.search(slack, set(), goals)
@@ -65,7 +65,7 @@ def _escape_trail(
 
 def compute_even_set(graph: Graph, bounds: DegreeBounds, current: Subgraph) -> EvenSet:
     members = set()
-    gadget = Gadget(graph, range(graph.m), current.edge_set)
+    gadget = Gadget(graph, graph.edge_ids, current.edge_set)
     for v in range(graph.n):
         if current.degrees[v] < bounds.upper[v]:
             members.add(v)  # the empty trail already ends at spare capacity
@@ -147,21 +147,6 @@ def _btight_cycle(
     _assert_net_effect(snapshot, ctx, cycle, "upper-tight cycle reconfiguration")
 
 
-def reconfigure_btight_cycle(
-    cycle: Trail, current: Subgraph, graph: Graph, bounds: DegreeBounds
-) -> list[Move]:
-    """Flip a uniformly upper-tight cycle at floor one below the current size.
-
-    Raises LockedCycleError with the cycle as certificate when no cycle
-    vertex has an escape trail (conclusive at slack 1 between maximum
-    endpoints).
-    """
-    ctx = current.copy()
-    out: list[Move] = []
-    _btight_cycle(cycle, ctx, graph, bounds, out)
-    return out
-
-
 def _pattern_roles(cycle: Trail, current: Subgraph, bounds: DegreeBounds) -> list[str]:
     """Per-position tightness role ('a' or 'b') under the pattern that holds."""
     even_lower = all(
@@ -177,24 +162,21 @@ def exists_unlocking_subgraph(
 ) -> Subgraph | None:
     """A feasible subgraph agreeing with ``current`` on the cycle, pattern broken.
 
-    Probes are built by freezing the cycle edges, shifting the bounds by the
-    frozen degrees, and forcing selected cycle vertices off their tightness
-    role; single-vertex probes are tried first, then pairs (one breaking each
-    phase pattern), which suffices for completeness.
+    Probes run on the host with the cycle edges switched off, shift the bounds
+    by the frozen degrees and force selected cycle vertices off their
+    tightness role; single-vertex probes are tried first, then pairs (one
+    breaking each phase pattern), which suffices for completeness.
     """
     if not is_alternatingly_ab_tight(cycle, current, bounds):
         raise ContractError("cycle is not alternately tight in the current subgraph")
     roles = _pattern_roles(cycle, current, bounds)
-    cyc_edges = set(cycle.edges)
     frozen = [0] * graph.n
     kept = [e for e in cycle.edges if e in current]
     for e in kept:
         u, v = graph.edges[e]
         frozen[u] += 1
         frozen[v] += 1
-    keep = [e for e in range(graph.m) if e not in cyc_edges]
-    new_index = {e: j for j, e in enumerate(keep)}
-    host = Graph(graph.n, [graph.edges[e] for e in keep])
+    host = graph.without(cycle.edges)
     base_lower = [max(0, bounds.lower[v] - frozen[v]) for v in range(graph.n)]
     base_upper = [
         min(bounds.upper[v] - frozen[v], host.degree[v]) for v in range(graph.n)
@@ -213,10 +195,7 @@ def exists_unlocking_subgraph(
         solved = feasible_subgraph(host, DegreeBounds(host, lo, hi))
         if solved is None:
             return None
-        lifted = Subgraph(graph, kept)
-        for j in solved.edge_set:
-            lifted.add(keep[j])
-        return lifted
+        return Subgraph(graph, solved.edge_set.union(kept))
 
     def breaker(i: int) -> tuple[int, tuple[int | None, int | None]]:
         # forcing the vertex off its role's bound, expressed in shifted bounds
@@ -317,20 +296,6 @@ def _alt_cycle(
             )
             _elementary(back, ctx, bounds, out)
     _assert_net_effect(snapshot, ctx, cycle, "alternately tight cycle reconfiguration")
-
-
-def reconfigure_alt_abtight_cycle(
-    cycle: Trail,
-    current: Subgraph,
-    unlocked: Subgraph,
-    graph: Graph,
-    bounds: DegreeBounds,
-) -> list[Move]:
-    """Flip an alternately tight cycle using an unlocking subgraph as guide."""
-    ctx = current.copy()
-    out: list[Move] = []
-    _alt_cycle(cycle, ctx, unlocked, graph, bounds, out)
-    return out
 
 
 def _bridge_trail(

@@ -23,7 +23,7 @@ from typing import Any
 
 from .core import DegreeBounds, Graph, Instance, Move, Subgraph
 from .decider import Decision, Witness
-from .errors import InputError
+from .errors import ContractError, InputError
 from .trail_type import Trail
 
 FORMAT_VERSION = 1
@@ -135,7 +135,7 @@ def parse_decision(text: str) -> Decision:
         raise InputError("malformed-document", "decision must be an object or move list")
     if "moves" in doc and doc.get("answer", "yes") == "yes":
         moves = []
-        for i, entry in enumerate(doc["moves"]):
+        for i, entry in enumerate(_expect(doc, "moves", list, "malformed-document")):
             if not isinstance(entry, dict) or "op" not in entry or "edge" not in entry:
                 raise InputError("malformed-document", f"move {i} must have op and edge")
             op = entry["op"]
@@ -152,9 +152,12 @@ def parse_decision(text: str) -> Decision:
             raise InputError("malformed-document", "no-answer requires a witness object")
         cycle = None
         if "cycle-edges" in w:
-            cycle = Trail(
-                tuple(w.get("cycle-vertices", ())), tuple(w["cycle-edges"])
-            )
+            edges = _int_list(w, "cycle-edges", "malformed-document")
+            vertices = _int_list(w, "cycle-vertices", "malformed-document")
+            try:
+                cycle = Trail(tuple(vertices), tuple(edges))
+            except ContractError as exc:
+                raise InputError("malformed-document", f"witness cycle: {exc}") from exc
         return Decision.reject(
             Witness(w["kind"], edge=w.get("edge"), cycle=cycle, context=w.get("context", ""))
         )

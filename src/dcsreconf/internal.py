@@ -10,8 +10,8 @@ edges, keep every intermediate state feasible, and never let the edge count
 drop more than one below the ambient size, except for the fully upper-tight
 cycles which need a dip of two.
 
-Workers with a leading underscore mutate the passed subgraph in place and
-append to the move list; the public functions wrap them on a copy.
+The workers mutate the passed subgraph in place and append to the move
+list.
 """
 
 from __future__ import annotations
@@ -87,14 +87,6 @@ def _emit(ctx: Subgraph, bounds: DegreeBounds, out: list[Move], kind: str, edge:
     out.append(Move(kind, edge))
 
 
-def _flip(ctx: Subgraph, trail: Trail) -> None:
-    for e in trail.edges:
-        if e in ctx:
-            ctx.remove(e)
-        else:
-            ctx.add(e)
-
-
 def _first_valid_order(
     parts: list[Trail], ctx: Subgraph, bounds: DegreeBounds, orders: list[tuple[int, ...]]
 ) -> tuple[Trail, ...]:
@@ -107,10 +99,10 @@ def _first_valid_order(
             if check_internal_conditions(part, ctx, bounds) is not None:
                 ok = False
                 break
-            _flip(ctx, part)
+            ctx.flip(part.edges)
             done.append(part)
         for part in reversed(done):
-            _flip(ctx, part)
+            ctx.flip(part.edges)
         if ok:
             return tuple(parts[idx] for idx in order)
     raise SynthesisError("no admissible ordering of trail pieces")
@@ -233,9 +225,9 @@ def _closed_split(t: Trail, ctx: Subgraph, bounds: DegreeBounds) -> tuple[Trail,
     for first, second in candidates:
         if check_internal_conditions(first, ctx, bounds) is not None:
             continue
-        _flip(ctx, first)
+        ctx.flip(first.edges)
         second_ok = check_internal_conditions(second, ctx, bounds) is None
-        _flip(ctx, first)
+        ctx.flip(first.edges)
         if second_ok:
             return first, second
     raise SynthesisError("no admissible split of the closed trail")
@@ -365,64 +357,3 @@ def _closed_even(
         _emit(ctx, bounds, out, ADD, t.edges[-1])
     else:
         _elementary(t, ctx, bounds, out)
-
-
-# -- public, non-mutating wrappers -------------------------------------------
-
-
-def reconfigure_elementary(trail: Trail, current: Subgraph, bounds: DegreeBounds) -> list[Move]:
-    """Moves flipping an even trail in place; exactly one per trail edge."""
-    ctx = current.copy()
-    out: list[Move] = []
-    _elementary(trail, ctx, bounds, out)
-    return out
-
-
-def reconfigure_open_even_maximal(
-    trail: Trail, current: Subgraph, bounds: DegreeBounds, diff: Subgraph | None = None
-) -> list[Move]:
-    """Flip a maximal open even trail (its end conditions follow from maximality)."""
-    if trail.is_closed or len(trail) % 2 != 0 or not trail.edges:
-        raise ContractError("open even-length trail expected")
-    if diff is not None and _extendable(trail, current, diff):
-        raise ContractError("trail is not maximal in the symmetric difference")
-    ctx = current.copy()
-    out: list[Move] = []
-    _elementary(trail, ctx, bounds, out)
-    return out
-
-
-def reconfigure_odd_maximal(
-    trail: Trail, current: Subgraph, bounds: DegreeBounds, direction: str
-) -> list[Move]:
-    """Flip a maximal odd trail either growing (net +1) or shrinking (net -1)."""
-    if direction not in (GROW, SHRINK):
-        raise ContractError(f"unknown direction {direction!r}")
-    ctx = current.copy()
-    out: list[Move] = []
-    if direction == GROW:
-        _odd_grow(trail, ctx, bounds, out)
-    else:
-        _odd_shrink(trail, ctx, bounds, out)
-    return out
-
-
-def reconfigure_closed_even(
-    trail: Trail, current: Subgraph, bounds: DegreeBounds, allow_k2: bool
-) -> list[Move]:
-    """Flip a closed even trail; ``allow_k2`` admits the deeper dip it may need."""
-    ctx = current.copy()
-    out: list[Move] = []
-    _closed_even(trail, ctx, bounds, out, allow_deep_dip=allow_k2)
-    return out
-
-
-def _extendable(trail: Trail, current: Subgraph, diff: Subgraph) -> bool:
-    graph = current.graph
-    used = set(trail.edges)
-    for at, side_of in ((trail.vertices[-1], trail.edges[-1]), (trail.vertices[0], trail.edges[0])):
-        want_inside = side_of not in current
-        for e in graph.incident[at]:
-            if e not in used and e in diff and (e in current) == want_inside:
-                return True
-    return False

@@ -3,12 +3,13 @@
 An edge is "fixed" relative to the current solution when no legal move
 sequence can ever flip it: seeded by edges at vertices whose lower and upper
 bounds coincide, then propagated through vertices pinned at a bound whose
-relevant incident edges are all fixed already.
+relevant incident edges are all fixed already. Restriction switches the fixed
+edges off (``Graph.without``) and keeps every edge index.
 """
 
 from __future__ import annotations
 
-from .core import DegreeBounds, Graph, Instance, Subgraph, symmetric_difference
+from .core import DegreeBounds, Graph, Instance, Subgraph
 from .errors import ContractError
 
 
@@ -46,44 +47,31 @@ def fixed_edge_witness(source: Subgraph, target: Subgraph, fixed: Subgraph) -> i
 
 
 def restrict_instance(inst: Instance, fixed: Subgraph) -> Instance:
-    """Remove the fixed edges and shift the bounds by the frozen degrees.
+    """Switch the fixed edges off and shift the bounds by the frozen degrees.
 
-    Requires source and target to agree on the fixed edges. Upper bounds are
-    additionally clamped to the remaining degree: a vertex that can never
-    reach its nominal bound inside the restricted graph keeps the same
-    feasible set either way, and clamping keeps the bounds structurally valid.
+    The restricted instance lives on ``inst.graph.without(fixed)``, so every
+    edge keeps its index and its moves, witnesses and trails need no mapping
+    back; nothing frozen returns ``inst`` itself. Requires source and target
+    to agree on the fixed edges. Upper bounds are additionally clamped to the
+    remaining degree: a vertex that can never reach its nominal bound inside
+    the restricted graph keeps the same feasible set either way, and clamping
+    keeps the bounds structurally valid.
     """
-    diff = symmetric_difference(inst.source, inst.target)
-    if diff.edge_set & fixed.edge_set:
+    if not fixed.edge_set:
+        return inst
+    if (inst.source.edge_set ^ inst.target.edge_set) & fixed.edge_set:
         raise ContractError("cannot restrict: source and target disagree on a fixed edge")
-    keep = [e for e in range(inst.graph.m) if e not in fixed.edge_set]
-    old_index = keep  # position in the restricted graph -> original edge index
-    new_index = {e: i for i, e in enumerate(keep)}
-    graph = Graph(inst.graph.n, [inst.graph.edges[e] for e in keep])
-    frozen_deg = [0] * inst.graph.n
-    for e in fixed.edge_set:
-        if e in inst.source:
-            u, v = inst.graph.edges[e]
-            frozen_deg[u] += 1
-            frozen_deg[v] += 1
-    lower = [max(0, inst.bounds.lower[v] - frozen_deg[v]) for v in range(inst.graph.n)]
-    upper = [
-        min(inst.bounds.upper[v] - frozen_deg[v], graph.degree[v]) for v in range(inst.graph.n)
-    ]
+    graph = inst.graph.without(fixed.edge_set)
+    frozen_deg = [0] * graph.n
+    for e in fixed.edge_set & inst.source.edge_set:
+        u, v = graph.edges[e]
+        frozen_deg[u] += 1
+        frozen_deg[v] += 1
+    lower = [max(0, inst.bounds.lower[v] - frozen_deg[v]) for v in range(graph.n)]
+    upper = [min(inst.bounds.upper[v] - frozen_deg[v], graph.degree[v]) for v in range(graph.n)]
     bounds = DegreeBounds(graph, lower, upper)
-    source = Subgraph(graph, (new_index[e] for e in inst.source.edge_set if e not in fixed.edge_set))
-    target = Subgraph(graph, (new_index[e] for e in inst.target.edge_set if e not in fixed.edge_set))
+    source = Subgraph(graph, inst.source.edge_set - fixed.edge_set)
+    target = Subgraph(graph, inst.target.edge_set - fixed.edge_set)
     sub = Instance(graph, bounds, source, target, inst.k)
     sub.validate()
-    return RestrictedInstance(sub, old_index)
-
-
-class RestrictedInstance(Instance):
-    """A restricted instance remembering how its edge indices map back."""
-
-    def __init__(self, inst: Instance, old_index: list[int]):
-        super().__init__(inst.graph, inst.bounds, inst.source, inst.target, inst.k)
-        self.old_index = old_index
-
-    def lift_edge(self, e: int) -> int:
-        return self.old_index[e]
+    return sub

@@ -33,15 +33,11 @@ def feasible_subgraph(graph: Graph, bounds: DegreeBounds) -> Subgraph | None:
             w for w in range(graph.n) if w != v and sub.degrees[w] > bounds.lower[w]
         }
         trail = find_alternating_trail(
-            graph, range(graph.m), sub.edge_set, {v}, add_sinks, remove_sinks
+            graph, graph.edge_ids, sub.edge_set, {v}, add_sinks, remove_sinks
         )
         if trail is None:
             return None
-        for e in trail.edges:
-            if e in sub:
-                sub.remove(e)
-            else:
-                sub.add(e)
+        sub.flip(trail.edges)
 
 
 def augment_trail(
@@ -52,7 +48,7 @@ def augment_trail(
     ``gadget``, when given, spans the whole host around ``sub``.
     """
     if gadget is None:
-        gadget = Gadget(graph, range(graph.m), sub.edge_set)
+        gadget = Gadget(graph, graph.edge_ids, sub.edge_set)
     return growing_trail(gadget, bounds, sub)
 
 
@@ -69,11 +65,7 @@ def augment(
     if trail is None:
         return None
     out = sub.copy()
-    for e in trail.edges:
-        if e in out:
-            out.remove(e)
-        else:
-            out.add(e)
+    out.flip(trail.edges)
     if len(out) != len(sub) + 1 or not is_ab_constrained(out, bounds):
         raise SynthesisError("augmenting trail produced an invalid subgraph")
     return out
@@ -90,7 +82,7 @@ def maximum_dcs(graph: Graph, bounds: DegreeBounds) -> Subgraph | None:
     sub = feasible_subgraph(graph, bounds)
     if sub is None:
         return None
-    gadget = Gadget(graph, range(graph.m), sub.edge_set)
+    gadget = Gadget(graph, graph.edge_ids, sub.edge_set)
     while True:
         bigger = augment(graph, bounds, sub, gadget)
         if bigger is None:

@@ -118,10 +118,7 @@ def alternating_trail_decomposition(
         trails.append(trail)
         for e in trail.edges:
             gadget.drop(e)
-            if e in cur:
-                cur.remove(e)
-            else:
-                cur.add(e)
+        cur.flip(trail.edges)
         if not all(bounds.lower[v] <= cur.degrees[v] <= bounds.upper[v] for v in range(graph.n)):
             raise SynthesisError("decomposition produced an infeasible intermediate subgraph")
     return snapshots, trails

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from dcsreconf.core import DegreeBounds, Graph, Instance, Subgraph
+from dcsreconf.core import DegreeBounds, Graph, Instance, Move, Subgraph
 
 
 def graph(n: int, edges) -> Graph:
@@ -33,11 +33,18 @@ def inst(g: Graph, b: DegreeBounds, source, target, k: int) -> Instance:
 def flipped(current: Subgraph, trail) -> Subgraph:
     """A copy of ``current`` with the trail's edges flipped."""
     out = current.copy()
-    for e in trail.edges:
-        if e in out:
-            out.remove(e)
-        else:
-            out.add(e)
+    out.flip(trail.edges)
+    return out
+
+
+def on_copy(worker, trail, current: Subgraph, *args, **kwargs) -> list[Move]:
+    """The moves an in-place synthesis worker emits for ``trail``, run on a copy.
+
+    The worker is called as ``worker(trail, ctx, *args, out, **kwargs)``, so
+    ``current`` is left as it was.
+    """
+    out: list[Move] = []
+    worker(trail, current.copy(), *args, out, **kwargs)
     return out
 
 

@@ -68,6 +68,20 @@ def test_verify_rejects_wrong_sequence(tmp_path, capsys):
     assert report["valid"] is False and "target" in report["reason"]
 
 
+def test_verify_rejects_malformed_move_files(tmp_path, capsys):
+    path = write_instance(tmp_path, cycle_swap(1))
+    malformed = [
+        {"moves": 5},
+        {"answer": "no", "witness": {"kind": "locked-btight-cycle", "cycle-edges": 5}},
+        {"answer": "no", "witness": {"kind": "locked-btight-cycle", "cycle-edges": [0, 1, 2, 3]}},
+    ]
+    for doc in malformed:
+        mp = tmp_path / "moves.json"
+        mp.write_text(json.dumps(doc))
+        assert main(["verify", path, str(mp)]) == 2
+        assert "error: malformed-document" in capsys.readouterr().err
+
+
 def test_oracle_command(tmp_path, capsys):
     assert main(["oracle", write_instance(tmp_path, cycle_swap(2))]) == 0
     assert json.loads(capsys.readouterr().out)["answer"] == "yes"

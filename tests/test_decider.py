@@ -3,7 +3,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcsreconf.core import DegreeBounds, Graph, Instance, verify_move_sequence
+from dcsreconf.core import DegreeBounds, Graph, Instance, Move, Subgraph, verify_move_sequence
 from dcsreconf.decider import (
     FIXED_EDGE,
     LOCKED_ALT_AB_TIGHT_CYCLE,
@@ -13,6 +13,7 @@ from dcsreconf.decider import (
 )
 from dcsreconf.obstructions import m_fixed_subgraph
 from dcsreconf.oracle import enumerate_ab_constrained, oracle_decide
+from dcsreconf.trail_type import Trail
 from dcsreconf.trails import find_augmenting_trail
 
 from helpers import (
@@ -159,8 +160,8 @@ def test_monotone_in_slack():
 
 
 def test_witness_and_moves_lift_through_restriction():
-    # a pinned pendant edge occupies index 0, so the restricted instance
-    # reindexes the cycle edges; answers must come back in original indices
+    # a pinned pendant edge occupies index 0 and is switched off; the cycle
+    # edges keep their indices, so answers name the input's edges
     g = graph(6, [(4, 5), (0, 1), (1, 2), (2, 3), (3, 0)])
     b = DegreeBounds(g, [0, 0, 0, 0, 1, 0], [1, 1, 1, 1, 1, 1])
     tight = decide(inst(g, b, [0, 1, 3], [0, 2, 4], 1))
@@ -196,7 +197,6 @@ def test_equal_size_detour_freezes_cycle_outside_difference(monkeypatch):
     # touches; the decider must freeze it and decide the remainder (this
     # branch is staged here because organic inputs reaching it are elusive)
     import dcsreconf.decider as dec
-    from dcsreconf.trail_type import Trail
 
     g = graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7)])
     b = DegreeBounds(
@@ -219,11 +219,17 @@ def test_equal_size_detour_freezes_cycle_outside_difference(monkeypatch):
         return real_process(inner, trace, max_regime)
 
     monkeypatch.setattr(dec, "_process", fake_process)
-    d = decide(i)
+    d, trace = decide_with_trace(i)
     assert d.yes
     assert verify_move_sequence(i, list(d.moves))
     assert not staged["armed"]  # the staged certificate was consumed
     assert {m.edge for m in d.moves} <= {4, 5, 6}
+    # the remainder is decided with the square switched off, and its trace
+    # names the input's edges
+    assert trace
+    for entry in trace:
+        entry.trail.validate_against(i.graph)
+        assert set(entry.trail.edges) <= {4, 5, 6}
 
 
 def test_upper_tight_cycle_escape_at_slack_one():
@@ -263,7 +269,10 @@ def small_instances(draw):
 def test_property_decider_matches_oracle(instance):
     if instance is None:
         return
-    assert decide(instance).yes == oracle_decide(instance)
+    decision, trace = decide_with_trace(instance)
+    assert decision.yes == oracle_decide(instance)
+    for entry in trace:
+        entry.trail.validate_against(instance.graph)
 
 
 def test_no_witness_cycles_lie_in_the_difference():
@@ -335,3 +344,85 @@ def test_peeled_growing_trails_match_fresh_searches():
         if decision.yes:
             assert cur == end
     assert grown > 0
+
+
+def _pinned_loose_instance(rng, m: int, share: float) -> Instance:
+    """``loose_instance`` with about ``share`` of the vertices that no
+    difference edge touches pinned (lower = upper) at their degree."""
+    base = loose_instance(rng, max(6, m // 3), m)
+    g = base.graph
+    diff = base.source.edge_set ^ base.target.edge_set
+    lower, upper = list(base.bounds.lower), list(base.bounds.upper)
+    for v in range(g.n):
+        if not diff.intersection(g.incident[v]) and rng.random() < share:
+            lower[v] = upper[v] = base.source.degrees[v]
+    return Instance(g, DegreeBounds(g, lower, upper), base.source, base.target, base.k)
+
+
+def _behind_pinned_edge(i: Instance) -> Instance:
+    """The instance with a disjoint edge prepended on two new vertices, pinned
+    at a = b = 1 and present in both source and target."""
+    n = i.graph.n
+    g = Graph(n + 2, [(n, n + 1)] + i.graph.edges)
+    b = DegreeBounds(g, i.bounds.lower + [1, 1], i.bounds.upper + [1, 1])
+
+    def shifted(s: Subgraph) -> Subgraph:
+        return Subgraph(g, [0] + [e + 1 for e in s.edge_set])
+
+    return Instance(g, b, shifted(i.source), shifted(i.target), i.k)
+
+
+def _shift_trail(t: Trail | None) -> Trail | None:
+    return None if t is None else Trail(t.vertices, tuple(e + 1 for e in t.edges))
+
+
+def _assert_shifts_by_one(plain: Instance) -> None:
+    d, trace = decide_with_trace(plain)
+    shifted_d, shifted_trace = decide_with_trace(_behind_pinned_edge(plain))
+    assert shifted_d.yes == d.yes
+    if d.yes:
+        assert shifted_d.moves == tuple(Move(m.kind, m.edge + 1) for m in d.moves)
+    else:
+        w, sw = d.witness, shifted_d.witness
+        assert (sw.kind, sw.context) == (w.kind, w.context)
+        assert sw.edge == (None if w.edge is None else w.edge + 1)
+        assert sw.cycle == _shift_trail(w.cycle)
+    assert [(e.trail_class, e.rule, e.moves) for e in shifted_trace] == [
+        (e.trail_class, e.rule, e.moves) for e in trace
+    ]
+    assert [e.trail for e in shifted_trace] == [_shift_trail(e.trail) for e in trace]
+
+
+def test_prepending_a_pinned_edge_shifts_every_index_by_one():
+    """Every instance here goes through the fixed-edge path: large loose
+    hosts (some with pinned vertices) for long traces, small random ones for
+    No answers and their witnesses."""
+    rng = random.Random(5)
+    for share in (0.0, 0.5, 1.0) * 10:
+        _assert_shifts_by_one(_pinned_loose_instance(rng, rng.randint(150, 400), share))
+    square = cycle_graph(4)
+    alt_tight = DegreeBounds(square, [1, 0, 1, 0], [2, 1, 2, 1])
+    detour_host = graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7)])
+    detour_bounds = DegreeBounds(detour_host, [1, 0, 1, 0, 0, 0, 0, 0], [2, 1, 2, 1, 1, 1, 1, 1])
+    locked = [
+        inst(square, bounds(square, 0, 1), [0, 2], [1, 3], 1),
+        inst(square, alt_tight, [0, 2], [1, 3], 2),
+        inst(detour_host, detour_bounds, [0, 2, 4], [1, 3, 4], 1),
+    ]
+    for plain in locked:
+        assert not decide(plain).yes
+        _assert_shifts_by_one(plain)
+    no_answers = 0
+    done = 0
+    while done < 150:
+        g = random_connected_graph(rng, rng.randint(3, 6), rng.randint(2, 9))
+        b = random_bounds(rng, g, relax=0.3)
+        states = enumerate_ab_constrained(g, b)
+        if len(states) < 2:
+            continue
+        s1, s2 = rng.sample(states, 2)
+        plain = Instance(g, b, s1.copy(), s2.copy(), rng.choice([1, 1, 2]))
+        _assert_shifts_by_one(plain)
+        no_answers += not decide(plain).yes
+        done += 1
+    assert no_answers > 0

@@ -12,10 +12,10 @@ from dcsreconf.core import (
 )
 from dcsreconf.errors import ContractError, LockedCycleError
 from dcsreconf.external import (
+    _alt_cycle,
+    _btight_cycle,
     compute_even_set,
     exists_unlocking_subgraph,
-    reconfigure_alt_abtight_cycle,
-    reconfigure_btight_cycle,
 )
 from dcsreconf.oracle import oracle_min_k
 from dcsreconf.trail_type import Trail
@@ -28,6 +28,7 @@ from helpers import (
     feasible_subsets,
     graph,
     graphs_up_to_iso,
+    on_copy,
     path_graph,
     random_bounds,
     sub,
@@ -90,7 +91,7 @@ def test_btight_cycle_with_pendant_escape():
     g = graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])
     b = bounds(g, 0, 1)
     current = sub(g, [0, 2])
-    moves = reconfigure_btight_cycle(square_trail(), current, g, b)
+    moves = on_copy(_btight_cycle, square_trail(), current, g, b)
     assert len(moves) >= 4  # the cycle itself plus the escape detour
     i = Instance(g, b, current, sub(g, [1, 3]), 1)
     assert verify_move_sequence(i, moves)
@@ -101,7 +102,7 @@ def test_btight_cycle_locked_when_isolated():
     g = cycle_graph(4)
     b = bounds(g, 0, 1)
     with pytest.raises(LockedCycleError):
-        reconfigure_btight_cycle(square_trail(), sub(g, [0, 2]), g, b)
+        on_copy(_btight_cycle, square_trail(), sub(g, [0, 2]), g, b)
     assert oracle_min_k(g, b, sub(g, [0, 2]), sub(g, [1, 3])) == 2
 
 
@@ -109,7 +110,7 @@ def test_btight_cycle_rejects_vertex_below_cap():
     g = cycle_graph(4)
     b = DegreeBounds(g, [0] * 4, [1, 2, 1, 1])
     with pytest.raises(ContractError):
-        reconfigure_btight_cycle(square_trail(), sub(g, [0, 2]), g, b)
+        on_copy(_btight_cycle, square_trail(), sub(g, [0, 2]), g, b)
 
 
 def test_btight_cycle_with_escape_reentering_the_cycle(monkeypatch):
@@ -122,7 +123,7 @@ def test_btight_cycle_with_escape_reentering_the_cycle(monkeypatch):
     current = sub(g, [0, 2, 4])
     crafted = Trail((0, 1, 2, 4, 5), (0, 1, 4, 5))
     monkeypatch.setattr(ext, "_escape_trail", lambda *args: crafted)
-    moves = reconfigure_btight_cycle(square_trail(), current, g, b)
+    moves = on_copy(_btight_cycle, square_trail(), current, g, b)
     target = sub(g, [1, 3, 4])
     i = Instance(g, b, current, target, 1)
     assert verify_move_sequence(i, moves)
@@ -163,7 +164,7 @@ def test_alt_cycle_reconfiguration_with_pendant():
     b = alt_tight_bounds(g)
     current = sub(g, [0, 2])
     unlocked = exists_unlocking_subgraph(square_trail(), current, g, b)
-    moves = reconfigure_alt_abtight_cycle(square_trail(), current, unlocked, g, b)
+    moves = on_copy(_alt_cycle, square_trail(), current, unlocked, g, b)
     i = Instance(g, b, current, sub(g, [1, 3]), 1)
     assert verify_move_sequence(i, moves)
     assert oracle_min_k(g, b, current, sub(g, [1, 3])) == 1
@@ -177,7 +178,7 @@ def test_alt_cycle_unlocked_by_shedding_an_outside_edge():
     current = sub(g, [0, 2, 4])
     unlocked = exists_unlocking_subgraph(square_trail(), current, g, b)
     assert unlocked is not None
-    moves = reconfigure_alt_abtight_cycle(square_trail(), current, unlocked, g, b)
+    moves = on_copy(_alt_cycle, square_trail(), current, unlocked, g, b)
     target = sub(g, [1, 3, 4])
     i = Instance(g, b, current, target, 1)
     assert verify_move_sequence(i, moves)
@@ -192,7 +193,7 @@ def test_alt_cycle_unlocked_through_even_bridge():
     current = sub(g, [0, 2, 4])
     unlocked = exists_unlocking_subgraph(square_trail(), current, g, b)
     assert unlocked is not None
-    moves = reconfigure_alt_abtight_cycle(square_trail(), current, unlocked, g, b)
+    moves = on_copy(_alt_cycle, square_trail(), current, unlocked, g, b)
     target = sub(g, [1, 3, 4])
     i = Instance(g, b, current, target, 1)
     assert verify_move_sequence(i, moves)
@@ -207,7 +208,7 @@ def test_alt_cycle_unlocked_by_gaining_through_a_chain():
     current = sub(g, [0, 2, 5])
     unlocked = exists_unlocking_subgraph(square_trail(), current, g, b)
     assert unlocked is not None
-    moves = reconfigure_alt_abtight_cycle(square_trail(), current, unlocked, g, b)
+    moves = on_copy(_alt_cycle, square_trail(), current, unlocked, g, b)
     target = sub(g, [1, 3, 5])
     i = Instance(g, b, current, target, 1)
     assert verify_move_sequence(i, moves)
@@ -226,7 +227,7 @@ def test_alt_cycle_worker_rejects_cycle_agreeing_with_target():
     current = sub(g, [0, 2])
     disagreeing = sub(g, [1, 3, 4])
     with pytest.raises(ContractError):
-        reconfigure_alt_abtight_cycle(square_trail(), current, disagreeing, g, b)
+        on_copy(_alt_cycle, square_trail(), current, disagreeing, g, b)
 
 
 def test_external_routines_restore_side_effects():
@@ -241,7 +242,7 @@ def test_external_routines_restore_side_effects():
     b = DegreeBounds(g, [0] * 8, [2, 1, 1, 1, 2, 2, 2, 1])
     current = sub(g, [0, 2, 4, 6])
     trail = square_trail()
-    moves = reconfigure_btight_cycle(trail, current, g, b)
+    moves = on_copy(_btight_cycle, trail, current, g, b)
     after = current.copy()
     for m in moves:
         if m.kind == "add":

@@ -19,19 +19,17 @@ from dcsreconf.errors import (
     NotInternallyReconfigurableError,
 )
 from dcsreconf.internal import (
-    GROW,
-    SHRINK,
+    _closed_even,
+    _elementary,
+    _odd_grow,
+    _odd_shrink,
     check_internal_conditions,
-    reconfigure_closed_even,
-    reconfigure_elementary,
-    reconfigure_odd_maximal,
-    reconfigure_open_even_maximal,
 )
 from dcsreconf.oracle import enumerate_ab_constrained
 from dcsreconf.trail_type import Trail
 from dcsreconf.trails import alternating_trail_decomposition, classify_trail, TrailClass
 
-from helpers import bounds, cycle_graph, flipped, graph, path_graph, random_bounds, sub
+from helpers import bounds, cycle_graph, flipped, graph, on_copy, path_graph, random_bounds, sub
 
 from test_trails import figure_like_two_loop_host
 
@@ -50,10 +48,10 @@ def test_base_case_orders_by_middle_capacity():
     g = path_graph(3)
     t = Trail((0, 1, 2), (0, 1))
     capped_mid = DegreeBounds(g, [0, 0, 0], [1, 1, 1])
-    moves = reconfigure_elementary(t, sub(g, [0]), capped_mid)
+    moves = on_copy(_elementary, t, sub(g, [0]), capped_mid)
     assert moves == [Move(REMOVE, 0), Move(ADD, 1)]
     roomy_mid = DegreeBounds(g, [0, 0, 0], [1, 2, 1])
-    moves = reconfigure_elementary(t, sub(g, [0]), roomy_mid)
+    moves = on_copy(_elementary, t, sub(g, [0]), roomy_mid)
     assert moves == [Move(ADD, 1), Move(REMOVE, 0)]
 
 
@@ -103,7 +101,7 @@ def test_open_even_maximal_short_and_verified():
     g = path_graph(3)
     t = Trail((0, 1, 2), (0, 1))
     current = sub(g, [0])
-    moves = reconfigure_open_even_maximal(t, current, bounds(g, 0, 1))
+    moves = on_copy(_elementary, t, current, bounds(g, 0, 1))
     assert len(moves) == 2
     i = Instance(g, bounds(g, 0, 1), current, sub(g, [1]), 1)
     assert verify_move_sequence(i, moves)
@@ -114,28 +112,18 @@ def test_open_even_maximal_length_four():
     b = bounds(g, 0, 1)
     current = sub(g, [0, 2])
     t = Trail((0, 1, 2, 3, 4), (0, 1, 2, 3))
-    moves = reconfigure_open_even_maximal(t, current, b)
+    moves = on_copy(_elementary, t, current, b)
     assert len(moves) == 4
     i = Instance(g, b, current, sub(g, [1, 3]), 1)
     assert verify_move_sequence(i, moves)
-
-
-def test_open_even_maximal_rejects_extendable_trail():
-    g = path_graph(5)
-    current = sub(g, [0, 2])
-    target = sub(g, [1, 3])
-    diff = sub(g, range(4))
-    stub = Trail((1, 2, 3), (1, 2))
-    with pytest.raises(ContractError):
-        reconfigure_open_even_maximal(stub, current, bounds(g, 0, 1), diff=diff)
 
 
 def test_odd_maximal_single_edge_each_direction():
     g = path_graph(2)
     b = bounds(g, 0, 1)
     t = Trail((0, 1), (0,))
-    assert reconfigure_odd_maximal(t, sub(g), b, GROW) == [Move(ADD, 0)]
-    assert reconfigure_odd_maximal(t, sub(g, [0]), b, SHRINK) == [Move(REMOVE, 0)]
+    assert on_copy(_odd_grow, t, sub(g), b) == [Move(ADD, 0)]
+    assert on_copy(_odd_shrink, t, sub(g, [0]), b) == [Move(REMOVE, 0)]
 
 
 def test_odd_maximal_length_three_grow():
@@ -143,7 +131,7 @@ def test_odd_maximal_length_three_grow():
     b = bounds(g, 0, 1)
     current = sub(g, [1])
     t = Trail((0, 1, 2, 3), (0, 1, 2))
-    moves = reconfigure_odd_maximal(t, current, b, GROW)
+    moves = on_copy(_odd_grow, t, current, b)
     assert len(moves) == 3
     i = Instance(g, b, current, sub(g, [0, 2]), 1)
     assert verify_move_sequence(i, moves)
@@ -154,7 +142,7 @@ def test_odd_maximal_length_three_shrink_floor():
     b = bounds(g, 0, 1)
     current = sub(g, [0, 2])
     t = Trail((0, 1, 2, 3), (0, 1, 2))
-    moves = reconfigure_odd_maximal(t, current, b, SHRINK)
+    moves = on_copy(_odd_shrink, t, current, b)
     assert len(moves) == 3
     i = Instance(g, b, current, sub(g, [1]), 2)
     assert verify_move_sequence(i, moves)
@@ -165,7 +153,7 @@ def test_odd_grow_rejects_capped_endpoint():
     b = DegreeBounds(g, [0, 0, 0], [1, 1, 1])
     t = Trail((0, 1), (0,))
     with pytest.raises(NotInternallyReconfigurableError):
-        reconfigure_odd_maximal(t, sub(g, [1]), b, GROW)
+        on_copy(_odd_grow, t, sub(g, [1]), b)
 
 
 def test_closed_even_unlocked_cycle_at_tight_floor():
@@ -173,7 +161,7 @@ def test_closed_even_unlocked_cycle_at_tight_floor():
     b = DegreeBounds(g, [0, 0, 0, 0], [2, 1, 2, 1])
     current = sub(g, [0, 2])
     t = Trail((0, 1, 2, 3, 0), (0, 1, 2, 3))
-    moves = reconfigure_closed_even(t, current, b, allow_k2=False)
+    moves = on_copy(_closed_even, t, current, b, allow_deep_dip=False)
     assert len(moves) == 4
     i = Instance(g, b, current, sub(g, [1, 3]), 1)
     assert verify_move_sequence(i, moves)
@@ -185,8 +173,8 @@ def test_closed_even_capped_cycle_needs_deeper_dip():
     current = sub(g, [0, 2])
     t = Trail((0, 1, 2, 3, 0), (0, 1, 2, 3))
     with pytest.raises(NeedsK2Error):
-        reconfigure_closed_even(t, current, b, allow_k2=False)
-    moves = reconfigure_closed_even(t, current, b, allow_k2=True)
+        on_copy(_closed_even, t, current, b, allow_deep_dip=False)
+    moves = on_copy(_closed_even, t, current, b, allow_deep_dip=True)
     assert len(moves) == 4
     assert moves[0].kind == REMOVE
     ok_at_2 = Instance(g, b, current, sub(g, [1, 3]), 2)
@@ -200,7 +188,7 @@ def test_closed_even_floor_tight_cycle_leads_with_addition():
     b = DegreeBounds(g, [1] * 4, [2] * 4)
     current = sub(g, [0, 2])
     t = Trail((0, 1, 2, 3, 0), (0, 1, 2, 3))
-    moves = reconfigure_closed_even(t, current, b, allow_k2=True)
+    moves = on_copy(_closed_even, t, current, b, allow_deep_dip=True)
     assert moves[0].kind == ADD
     assert len(moves) == 4
     i = Instance(g, b, current, sub(g, [1, 3]), 1)
@@ -212,14 +200,14 @@ def test_closed_even_rejects_alternately_tight():
     b = DegreeBounds(g, [1, 0, 1, 0], [2, 1, 2, 1])
     t = Trail((0, 1, 2, 3, 0), (0, 1, 2, 3))
     with pytest.raises(NotInternallyReconfigurableError):
-        reconfigure_closed_even(t, sub(g, [0, 2]), b, allow_k2=True)
+        on_copy(_closed_even, t, sub(g, [0, 2]), b, allow_deep_dip=True)
 
 
 def test_long_revisiting_trail_flips_at_tight_floor():
     g, current, target = figure_like_two_loop_host()
     b = DegreeBounds(g, [0] * g.n, list(g.degree))
     t = Trail((0, 1, 2, 3, 0, 5, 6, 7, 8, 9, 6), tuple(range(10)))
-    moves = reconfigure_elementary(t, current, b)
+    moves = on_copy(_elementary, t, current, b)
     assert len(moves) == 10
     i = Instance(g, b, current, target, 1)
     assert verify_move_sequence(i, moves)
@@ -250,21 +238,21 @@ def test_emitted_sequences_have_one_move_per_edge_and_verify():
         cls = classify_trail(trail, state, b)
         try:
             if cls is TrailClass.M_AUGMENTING:
-                moves = reconfigure_odd_maximal(trail, state, b, GROW)
+                moves = on_copy(_odd_grow, trail, state, b)
                 slack = 1
             elif cls is TrailClass.N_AUGMENTING:
-                moves = reconfigure_odd_maximal(trail, state, b, SHRINK)
+                moves = on_copy(_odd_shrink, trail, state, b)
                 slack = 2
             elif cls is TrailClass.B_TIGHT_CYCLE:
-                moves = reconfigure_closed_even(trail, state, b, allow_k2=True)
+                moves = on_copy(_closed_even, trail, state, b, allow_deep_dip=True)
                 slack = 2
             elif cls is TrailClass.ALT_AB_TIGHT_CYCLE:
                 continue
             else:
                 if trail.is_closed:
-                    moves = reconfigure_closed_even(trail, state, b, allow_k2=False)
+                    moves = on_copy(_closed_even, trail, state, b, allow_deep_dip=False)
                 else:
-                    moves = reconfigure_elementary(trail, state, b)
+                    moves = on_copy(_elementary, trail, state, b)
                 slack = 1
         except NotInternallyReconfigurableError:
             # pinned vertices or tight ends; genuine obstructions are covered

@@ -199,12 +199,12 @@ def _process(inst: Instance, trace: list[TraceEntry], max_regime: bool) -> Decis
                 _closed_even(trail, ctx, bounds, out, allow_deep_dip=True)
                 rule = "tight-cycle-dip"
         else:  # alternately tight cycle
-            unlocked = exists_unlocking_subgraph(trail, ctx, graph, bounds)
-            if unlocked is None:
+            bridge = exists_unlocking_subgraph(trail, ctx, graph, bounds)
+            if bridge is None:
                 return Decision.reject(
                     Witness(LOCKED_ALT_AB_TIGHT_CYCLE, cycle=trail, context="any slack")
                 )
-            _alt_cycle(trail, ctx, unlocked, graph, bounds, out)
+            _alt_cycle(trail, ctx, bridge, graph, bounds, out)
             rule = "tight-cycle-unlock"
         trace.append(TraceEntry(cls.value, rule, len(out) - before, trail))
         for e in trail.edges:

@@ -2,40 +2,23 @@
 
 A uniformly upper-tight cycle can only flip at the tight floor if some cycle
 vertex can temporarily shed an edge through an escape trail ending at a
-vertex with spare capacity; an alternately tight cycle can only flip if some
-feasible subgraph agreeing with the current one on the cycle breaks the
-tightness pattern. Both routines restore every off-cycle side effect.
+vertex with spare capacity; an alternately tight cycle can only flip if an
+unlocking trail exists: one that uses no cycle edge, leaves a cycle vertex
+over the edge that moves it off its role's bound, and ends where the far end
+can take the change. Both routines restore every off-cycle side effect.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .augmenting import Gadget, find_alternating_trail
 from .core import DegreeBounds, Graph, Move, Subgraph
 from .errors import ContractError, LockedCycleError, SynthesisError
 from .internal import _elementary
-from .solver import feasible_subgraph
+# Not called here; bound because the benchmark's traced run wraps this name
+# (``perfbench/tracer.py``, ``_WRAPS``).
+from .solver import feasible_subgraph  # noqa: F401
 from .trail_type import Trail, concat, single_edge_trail
 from .trails import is_alternatingly_ab_tight
-
-
-@dataclass(frozen=True)
-class EvenSet:
-    """Vertices that can reach spare capacity along an alternating trail.
-
-    A vertex belongs to the set when it is strictly below its upper bound
-    (the empty trail already ends at spare capacity), or when it is strictly
-    above its lower bound and some even-length alternating trail starting
-    with a current edge leads to a vertex strictly below its upper bound.
-    For a maximum current subgraph this is exactly the set of vertices left
-    below their upper bound by some maximum feasible subgraph.
-    """
-
-    members: frozenset[int]
-
-    def __contains__(self, v: int) -> bool:
-        return v in self.members
 
 
 def _escape_trail(
@@ -61,19 +44,6 @@ def _escape_trail(
     else:
         found = gadget.search(slack, set(), goals)
     return found.reversed() if found is not None else None
-
-
-def compute_even_set(graph: Graph, bounds: DegreeBounds, current: Subgraph) -> EvenSet:
-    members = set()
-    gadget = Gadget(graph, graph.edge_ids, current.edge_set)
-    for v in range(graph.n):
-        if current.degrees[v] < bounds.upper[v]:
-            members.add(v)  # the empty trail already ends at spare capacity
-        elif current.degrees[v] > bounds.lower[v] and _escape_trail(
-            graph, bounds, current, {v}, gadget
-        ) is not None:
-            members.add(v)
-    return EvenSet(frozenset(members))
 
 
 def _rooted_loop(cycle: Trail, root: int, first_inside: bool, current: Subgraph) -> Trail:
@@ -159,176 +129,100 @@ def _pattern_roles(cycle: Trail, current: Subgraph, bounds: DegreeBounds) -> lis
 
 def exists_unlocking_subgraph(
     cycle: Trail, current: Subgraph, graph: Graph, bounds: DegreeBounds
-) -> Subgraph | None:
-    """A feasible subgraph agreeing with ``current`` on the cycle, pattern broken.
+) -> Trail | None:
+    """A trail whose flip unlocks an alternately tight cycle, or None if it is locked.
 
-    Probes run on the host with the cycle edges switched off, shift the bounds
-    by the frozen degrees and force selected cycle vertices off their
-    tightness role; single-vertex probes are tried first, then pairs (one
-    breaking each phase pattern), which suffices for completeness.
+    The trail uses no cycle edge and alternates around ``current``. It leaves
+    a cycle vertex over the edge that moves it off its role's bound (a
+    non-member edge at an a-role vertex, a member edge at a b-role vertex)
+    and ends where the far end can take the change. Such a trail exists
+    exactly when some feasible subgraph agreeing with ``current`` on the cycle
+    breaks the pattern: their symmetric difference splits into alternating
+    trails, and the one leaving a broken vertex is such a trail.
+
+    a-role starts are searched on a gadget around ``current``, b-role starts
+    on one around the pool's complement, where a member edge first is the
+    usual non-member edge first and room and spare swap places.
     """
     if not is_alternatingly_ab_tight(cycle, current, bounds):
         raise ContractError("cycle is not alternately tight in the current subgraph")
     roles = _pattern_roles(cycle, current, bounds)
-    frozen = [0] * graph.n
-    kept = [e for e in cycle.edges if e in current]
-    for e in kept:
-        u, v = graph.edges[e]
-        frozen[u] += 1
-        frozen[v] += 1
     host = graph.without(cycle.edges)
-    base_lower = [max(0, bounds.lower[v] - frozen[v]) for v in range(graph.n)]
-    base_upper = [
-        min(bounds.upper[v] - frozen[v], host.degree[v]) for v in range(graph.n)
-    ]
-
-    def probe(forced: dict[int, tuple[int | None, int | None]]) -> Subgraph | None:
-        lo = list(base_lower)
-        hi = list(base_upper)
-        for v, (force_lo, force_hi) in forced.items():
-            if force_lo is not None:
-                lo[v] = max(lo[v], force_lo)
-            if force_hi is not None:
-                hi[v] = min(hi[v], force_hi)
-            if lo[v] > hi[v]:
-                return None
-        solved = feasible_subgraph(host, DegreeBounds(host, lo, hi))
-        if solved is None:
-            return None
-        return Subgraph(graph, solved.edge_set.union(kept))
-
-    def breaker(i: int) -> tuple[int, tuple[int | None, int | None]]:
-        # forcing the vertex off its role's bound, expressed in shifted bounds
-        v = cycle.vertices[i]
-        if roles[i] == "a":
-            return v, (max(0, bounds.lower[v] + 1 - frozen[v]), None)
-        return v, (None, bounds.upper[v] - 1 - frozen[v])
-
-    positions = range(len(cycle))
-    probes: list[dict[int, tuple[int | None, int | None]]] = []
-    for i in positions:
-        v, force = breaker(i)
-        probes.append({v: force})
-    for i in positions:
-        for j in positions:
-            if roles[i] == roles[j]:  # want one break per phase pattern
-                continue
-            vi, fi = breaker(i)
-            vj, fj = breaker(j)
-            forced: dict[int, tuple[int | None, int | None]] = {vi: fi}
-            if vj in forced:
-                lo_i, hi_i = forced[vj]
-                lo_j, hi_j = fj
-                forced[vj] = (
-                    lo_j if lo_i is None else lo_i if lo_j is None else max(lo_i, lo_j),
-                    hi_j if hi_i is None else hi_i if hi_j is None else min(hi_i, hi_j),
-                )
-            else:
-                forced[vj] = fj
-            probes.append(forced)
-    seen: set[tuple] = set()
-    for forced in probes:
-        key = tuple(sorted(forced.items()))
-        if key in seen:
+    room = [b - d for b, d in zip(bounds.upper, current.degrees)]
+    spare = [d - a for d, a in zip(current.degrees, bounds.lower)]
+    for role in ("a", "b"):
+        inside = role == "b"
+        # a start without an off-cycle edge on its side finds nothing, so a
+        # side's gadget is built only when some start has one
+        starts = {
+            v
+            for v, r in zip(cycle.vertices, roles)
+            if r == role and any((e in current) == inside for e in host.incident[v])
+        }
+        if not starts:
             continue
-        seen.add(key)
-        candidate = probe(forced)
-        if candidate is not None and not is_alternatingly_ab_tight(
-            cycle, candidate, bounds
-        ):
-            return candidate
+        member = {e for e in host.edge_ids if e not in current} if inside else current.edge_set
+        ahead, behind = (spare, room) if inside else (room, spare)
+        found = _unlocking_trail(Gadget(graph, host.edge_ids, member), starts, ahead, behind)
+        if found is not None:
+            return found
+    return None
+
+
+def _unlocking_trail(
+    gadget: Gadget, starts: set[int], ahead: list[int], behind: list[int]
+) -> Trail | None:
+    """A trail from ``starts``, first edge a non-member, whose flip every vertex takes.
+
+    A start's degree moves one step the way its first edge's flip moves it;
+    ``ahead[v]`` and ``behind[v]`` count the steps ``v`` can take that way and
+    the other way. As in ``growing_trail``, all starts are searched at once,
+    and the search is redone per start only when it returns a closed trail
+    whose start cannot take two steps.
+    """
+    add_sinks = {v for v, steps in enumerate(ahead) if steps > 0}
+    remove_sinks = {v for v, steps in enumerate(behind) if steps > 0}
+    found = gadget.search(starts, add_sinks, remove_sinks)
+    if found is None or not found.is_closed or ahead[found.vertices[0]] >= 2:
+        return found
+    for u in sorted(starts):
+        found = gadget.search({u}, add_sinks if ahead[u] >= 2 else add_sinks - {u}, remove_sinks)
+        if found is not None:
+            return found
     return None
 
 
 def _alt_cycle(
     cycle: Trail,
     ctx: Subgraph,
-    unlocked: Subgraph,
+    bridge: Trail,
     graph: Graph,
     bounds: DegreeBounds,
     out: list[Move],
 ) -> None:
     if not is_alternatingly_ab_tight(cycle, ctx, bounds):
         raise ContractError("cycle is not alternately tight in the current subgraph")
-    if any((e in ctx) != (e in unlocked) for e in cycle.edges):
-        raise ContractError("unlocking subgraph disagrees with the current one on the cycle")
-    if is_alternatingly_ab_tight(cycle, unlocked, bounds):
-        raise ContractError("proposed subgraph does not break the tightness pattern")
-    roles = _pattern_roles(cycle, ctx, bounds)
-    chosen = None
-    for i in range(len(cycle)):
-        v = cycle.vertices[i]
-        bound = bounds.lower[v] if roles[i] == "a" else bounds.upper[v]
-        if unlocked.degrees[v] != bound:
-            chosen = (i, v, roles[i])
-            break
-    if chosen is None:
-        raise SynthesisError("pattern reported broken but every role is still tight")
-    i, v, role = chosen
+    if not bridge.edges or set(bridge.edges) & set(cycle.edges):
+        raise ContractError("the bridge must be non-empty and share no edge with the cycle")
+    v = bridge.vertices[0]
+    role = "b" if bridge.edges[0] in ctx else "a"
+    roles_at_v = [r for u, r in zip(cycle.vertices, _pattern_roles(cycle, ctx, bounds)) if u == v]
+    if not roles_at_v:
+        raise ContractError(f"bridge starts at vertex {v}, which is not on the cycle")
+    if role not in roles_at_v:
+        raise ContractError(f"bridge's first edge does not move vertex {v} off its role's bound")
     snapshot = ctx.copy()
-    bridge = _bridge_trail(graph, ctx, unlocked, v, want_inside=(role == "b"))
     tt = len(cycle)
-    if role == "b":
-        if len(bridge) % 2 == 0:
-            loop = _rooted_loop(cycle, v, first_inside=True, current=ctx)
-            _elementary(concat(loop, bridge), ctx, bounds, out)
-            _elementary(bridge, ctx, bounds, out)  # undo the off-cycle effects
-        else:
-            rot = _rooted_loop(cycle, v, first_inside=False, current=ctx)
-            sweep = concat(bridge.reversed(), rot.segment(0, tt - 1))
-            _elementary(sweep, ctx, bounds, out)
-            back = concat(
-                single_edge_trail(graph, rot.edges[-1], rot.vertices[tt - 1]), bridge
-            )
-            _elementary(back, ctx, bounds, out)
+    # An even bridge extends the cycle rooted on its own side and is flipped
+    # back afterwards; an odd one is swept with all but the cycle's last edge,
+    # which is flipped with the bridge on the way back.
+    even = len(bridge) % 2 == 0
+    loop = _rooted_loop(cycle, v, first_inside=(role == "b") == even, current=ctx)
+    if even:
+        _elementary(concat(loop, bridge), ctx, bounds, out)
+        _elementary(bridge, ctx, bounds, out)  # undo the off-cycle effects
     else:
-        if len(bridge) % 2 == 0:
-            loop = _rooted_loop(cycle, v, first_inside=True, current=ctx)
-            _elementary(concat(bridge.reversed(), loop), ctx, bounds, out)
-            _elementary(bridge, ctx, bounds, out)
-        else:
-            rot = _rooted_loop(cycle, v, first_inside=True, current=ctx)
-            sweep = concat(rot.segment(0, tt - 1).reversed(), bridge)
-            _elementary(sweep, ctx, bounds, out)
-            back = concat(
-                bridge.reversed(),
-                single_edge_trail(graph, rot.edges[-1], v),
-            )
-            _elementary(back, ctx, bounds, out)
+        _elementary(concat(bridge.reversed(), loop.segment(0, tt - 1)), ctx, bounds, out)
+        last = single_edge_trail(graph, loop.edges[-1], loop.vertices[tt - 1])
+        _elementary(concat(last, bridge), ctx, bounds, out)
     _assert_net_effect(snapshot, ctx, cycle, "alternately tight cycle reconfiguration")
-
-
-def _bridge_trail(
-    graph: Graph, current: Subgraph, unlocked: Subgraph, start: int, want_inside: bool
-) -> Trail:
-    """Maximal alternating trail between the two subgraphs, grown from ``start``.
-
-    The first edge lies inside the current subgraph but outside the unlocking
-    one (or vice versa); extension continues at the far end only, taking the
-    smallest admissible edge index, until no continuation remains.
-    """
-    pool = current.edge_set ^ unlocked.edge_set
-    first = None
-    for e in sorted(graph.incident[start]):
-        if e in pool and (e in current) == want_inside:
-            first = e
-            break
-    if first is None:
-        raise SynthesisError(f"no bridge edge at vertex {start}")
-    vertices = [start, graph.other_end(first, start)]
-    edges = [first]
-    used = {first}
-    while True:
-        at = vertices[-1]
-        want = edges[-1] not in current
-        nxt = None
-        for e in sorted(graph.incident[at]):
-            if e in pool and e not in used and (e in current) == want:
-                nxt = e
-                break
-        if nxt is None:
-            break
-        vertices.append(graph.other_end(nxt, at))
-        edges.append(nxt)
-        used.add(nxt)
-    return Trail(tuple(vertices), tuple(edges))

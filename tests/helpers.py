@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from functools import lru_cache
 
+from dcsreconf.augmenting import Gadget
 from dcsreconf.core import DegreeBounds, Graph, Instance, Move, Subgraph
+from dcsreconf.external import _escape_trail
 
 
 def graph(n: int, edges) -> Graph:
@@ -86,6 +89,38 @@ def brute_below_upper_in_some_maximum(g: Graph, b: DegreeBounds) -> set[int]:
         if len(s) == best:
             out.update(v for v in range(g.n) if s.degrees[v] < b.upper[v])
     return out
+
+
+@dataclass(frozen=True)
+class EvenSet:
+    """Vertices that can reach spare capacity along an alternating trail.
+
+    A vertex belongs to the set when it is strictly below its upper bound
+    (the empty trail already ends at spare capacity), or when it is strictly
+    above its lower bound and some even-length alternating trail starting
+    with a current edge leads to a vertex strictly below its upper bound.
+    For a maximum current subgraph this is exactly the set of vertices left
+    below their upper bound by some maximum feasible subgraph.
+    """
+
+    members: frozenset[int]
+
+    def __contains__(self, v: int) -> bool:
+        return v in self.members
+
+
+def compute_even_set(graph: Graph, bounds: DegreeBounds, current: Subgraph) -> EvenSet:
+    """The even set, from one escape-trail search per vertex at its upper bound."""
+    members = set()
+    gadget = Gadget(graph, graph.edge_ids, current.edge_set)
+    for v in range(graph.n):
+        if current.degrees[v] < bounds.upper[v]:
+            members.add(v)  # the empty trail already ends at spare capacity
+        elif current.degrees[v] > bounds.lower[v] and _escape_trail(
+            graph, bounds, current, {v}, gadget
+        ) is not None:
+            members.add(v)
+    return EvenSet(frozenset(members))
 
 
 def _canonical(n: int, edges: frozenset[tuple[int, int]]) -> tuple:

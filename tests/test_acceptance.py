@@ -15,7 +15,6 @@ from dcsreconf.decider import (
     LOCKED_B_TIGHT_CYCLE,
     decide,
 )
-from dcsreconf.external import compute_even_set
 from dcsreconf.obstructions import m_fixed_subgraph
 from dcsreconf.oracle import (
     enumerate_ab_constrained,
@@ -29,6 +28,7 @@ from helpers import (
     bounds,
     brute_below_upper_in_some_maximum,
     brute_max_size,
+    compute_even_set,
     cycle_graph,
     feasible_subsets,
     graphs_up_to_iso,

@@ -72,6 +72,32 @@ def test_alternately_tight_cycle_unlocked_by_pendant():
     assert d.yes
 
 
+def test_alternately_tight_cycle_in_k5_is_unlocked_at_every_slack():
+    # the cycle on edges 0-3 is alternately tight in the source, but a trail
+    # off the cycle unlocks it, so every slack answers Yes
+    cases = [
+        (
+            [(2, 4), (0, 4), (0, 3), (2, 3), (0, 1), (1, 2), (3, 4), (1, 3), (1, 4), (0, 2)],
+            [1, 2, 1, 2, 2],
+            [2, 4, 2, 3, 3],
+            {0, 2, 6, 7, 8},
+        ),
+        (
+            [(0, 3), (3, 4), (1, 4), (0, 1), (1, 2), (0, 4), (0, 2), (2, 3), (1, 3), (2, 4)],
+            [2, 2, 3, 2, 1],
+            [3, 3, 4, 3, 2],
+            {0, 2, 4, 6, 7, 8},
+        ),
+    ]
+    for edges, lower, upper, source in cases:
+        g = graph(5, edges)
+        b = DegreeBounds(g, lower, upper)
+        for k in (1, 2, 3):
+            i = inst(g, b, source, source ^ {0, 1, 2, 3}, k)
+            assert decide(i).yes
+            assert oracle_decide(i)
+
+
 def test_single_augmentation_trace():
     g = path_graph(2)
     d, trace = decide_with_trace(inst(g, bounds(g, 0, 1), [], [0], 1))

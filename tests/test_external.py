@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dcsreconf.core import (
     DegreeBounds,
@@ -14,9 +16,9 @@ from dcsreconf.errors import ContractError, LockedCycleError
 from dcsreconf.external import (
     _alt_cycle,
     _btight_cycle,
-    compute_even_set,
     exists_unlocking_subgraph,
 )
+from dcsreconf.obstructions import m_fixed_subgraph
 from dcsreconf.oracle import oracle_min_k
 from dcsreconf.trail_type import Trail
 from dcsreconf.trails import is_alternatingly_ab_tight
@@ -24,8 +26,10 @@ from dcsreconf.trails import is_alternatingly_ab_tight
 from helpers import (
     bounds,
     brute_below_upper_in_some_maximum,
+    compute_even_set,
     cycle_graph,
     feasible_subsets,
+    flipped,
     graph,
     graphs_up_to_iso,
     on_copy,
@@ -144,8 +148,9 @@ def test_unlocking_subgraph_found_with_pendant():
     g = graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 0)])
     b = alt_tight_bounds(g)
     current = sub(g, [0, 2])
-    unlocked = exists_unlocking_subgraph(square_trail(), current, g, b)
-    assert unlocked is not None
+    bridge = exists_unlocking_subgraph(square_trail(), current, g, b)
+    assert bridge is not None
+    unlocked = flipped(current, bridge)
     assert is_ab_constrained(unlocked, b)
     assert unlocked.edge_set & set(square_trail().edges) == current.edge_set
     assert not is_alternatingly_ab_tight(square_trail(), unlocked, b)
@@ -215,6 +220,129 @@ def test_alt_cycle_unlocked_by_gaining_through_a_chain():
     assert oracle_min_k(g, b, current, target) == 1
 
 
+def planted_alt_cycle(rng):
+    """An alternately tight 4- or 6-edge cycle in a host of at most 12 edges.
+
+    The current subgraph alternates on the cycle; a-role cycle vertices sit at
+    their lower bound, b-role ones at their upper bound, and every other vertex
+    is tight on one side, so that bridges are not always single edges.
+    """
+    length = rng.choice([4, 6])
+    n = length + rng.randint(0, 4)
+    label = list(range(n))
+    rng.shuffle(label)
+    ring = [(label[i], label[(i + 1) % length]) for i in range(length)]
+    taken = {frozenset(p) for p in ring}
+    others = [(u, v) for u in range(n) for v in range(u + 1, n) if {u, v} not in taken]
+    pairs = ring + rng.sample(others, min(len(others), rng.randint(2, 12 - length)))
+    order = list(range(len(pairs)))
+    rng.shuffle(order)
+    g = Graph(n, [pairs[j] for j in order])
+    index = {j: i for i, j in enumerate(order)}
+    cycle = Trail(
+        tuple(label[i % length] for i in range(length + 1)),
+        tuple(index[i] for i in range(length)),
+    )
+    inside = [index[i] for i in range(0, length, 2)]
+    inside += [index[j] for j in range(length, len(pairs)) if rng.random() < 0.5]
+    current = sub(g, inside)
+    a_parity = rng.randint(0, 1)
+    lower, upper = [], []
+    for v in range(n):
+        d, deg = current.degrees[v], g.degree[v]
+        position = label.index(v)
+        if position < length:
+            at_lower = position % 2 == a_parity
+        else:
+            at_lower = d < deg and (d == 0 or rng.random() < 0.5)
+        if at_lower:
+            lower.append(d)
+            upper.append(rng.randint(min(d + 1, deg), deg))
+        else:
+            lower.append(rng.randint(0, max(d - 1, 0)))
+            upper.append(d)
+    return g, DegreeBounds(g, lower, upper), cycle, current
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_unlocking_trail_exists_iff_brute_force_finds_an_unlocking_subgraph(rng):
+    g, b, cycle, current = planted_alt_cycle(rng)
+    # decide never hands the worker a pinned vertex: it switches fixed edges off
+    assume(not m_fixed_subgraph(g, b, current).edge_set)
+    assert is_alternatingly_ab_tight(cycle, current, b)
+    on_cycle = set(cycle.edges)
+    off = [e for e in range(g.m) if e not in on_cycle]
+    kept = [e for e in cycle.edges if e in current]
+    unlockable = False
+    for mask in range(1 << len(off)):
+        y = sub(g, kept + [e for i, e in enumerate(off) if mask >> i & 1])
+        if is_ab_constrained(y, b) and not is_alternatingly_ab_tight(cycle, y, b):
+            unlockable = True
+            break
+    bridge = exists_unlocking_subgraph(cycle, current, g, b)
+    assert (bridge is not None) == unlockable
+    if bridge is None:
+        return
+    unlocked = flipped(current, bridge)
+    assert is_ab_constrained(unlocked, b)
+    assert not is_alternatingly_ab_tight(cycle, unlocked, b)
+    moves = on_copy(_alt_cycle, cycle, current, bridge, g, b)
+    assert verify_move_sequence(Instance(g, b, current, flipped(current, cycle), 1), moves)
+
+
+@pytest.mark.parametrize(
+    "edges, inside, lower, upper",
+    [
+        # a-role vertex 0 closes a triangle over the pinned vertices 4 and 5
+        # but has room for one edge only; a-role vertex 2 has the chain 2-6-7
+        (
+            [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 0), (2, 6), (6, 7)],
+            [0, 2, 5, 8],
+            [1, 0, 1, 0, 1, 1, 0, 0],
+            [2, 1, 2, 1, 1, 1, 1, 1],
+        ),
+        # the same on the b side: b-role vertex 1 can shed one edge only
+        (
+            [(0, 1), (1, 2), (2, 3), (3, 0), (1, 4), (4, 5), (5, 1), (3, 6), (6, 7)],
+            [0, 2, 4, 6, 7],
+            [1, 2, 1, 0, 1, 1, 1, 0],
+            [2, 3, 2, 2, 1, 1, 2, 1],
+        ),
+    ],
+)
+def test_unlocking_search_is_redone_per_start_after_a_closed_trail_without_room(
+    edges, inside, lower, upper
+):
+    g = graph(8, edges)
+    b = DegreeBounds(g, lower, upper)
+    current = sub(g, inside)
+    bridge = exists_unlocking_subgraph(square_trail(), current, g, b)
+    assert bridge is not None and not bridge.is_closed
+    assert bridge.edges == (7, 8)
+    assert is_ab_constrained(flipped(current, bridge), b)
+    moves = on_copy(_alt_cycle, square_trail(), current, bridge, g, b)
+    target = flipped(current, square_trail())
+    assert verify_move_sequence(Instance(g, b, current, target, 1), moves)
+
+
+def test_alt_cycle_takes_closed_bridges():
+    # a closed bridge at a start with room (a side) or spare (b side) for two
+    a_side = graph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 0)])
+    b_side = graph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 4), (4, 5), (5, 1)])
+    cases = [
+        (a_side, [0, 2, 5], [1, 0, 1, 0, 0, 0], [3, 1, 2, 1, 1, 1], 0),
+        (b_side, [0, 2, 4, 6], [1, 1, 1, 0, 1, 1], [2, 3, 2, 1, 2, 2], 1),
+    ]
+    for g, inside, lower, upper, v in cases:
+        b = DegreeBounds(g, lower, upper)
+        current = sub(g, inside)
+        target = flipped(current, square_trail())
+        for bridge in (Trail((v, 4, 5, v), (4, 5, 6)), Trail((v, 5, 4, v), (6, 5, 4))):
+            moves = on_copy(_alt_cycle, square_trail(), current, bridge, g, b)
+            assert verify_move_sequence(Instance(g, b, current, target, 1), moves)
+
+
 def test_alt_cycle_locked_is_unreachable_at_any_slack():
     g = cycle_graph(4)
     b = alt_tight_bounds(g)
@@ -225,9 +353,9 @@ def test_alt_cycle_worker_rejects_cycle_agreeing_with_target():
     g = graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 0)])
     b = alt_tight_bounds(g)
     current = sub(g, [0, 2])
-    disagreeing = sub(g, [1, 3, 4])
+    on_cycle = Trail((1, 2), (1,))  # a bridge over a cycle edge
     with pytest.raises(ContractError):
-        on_copy(_alt_cycle, square_trail(), current, disagreeing, g, b)
+        on_copy(_alt_cycle, square_trail(), current, on_cycle, g, b)
 
 
 def test_external_routines_restore_side_effects():

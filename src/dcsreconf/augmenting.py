@@ -13,18 +13,19 @@ not enough).
 The gadget is implicit and persistent. A ``Gadget`` keeps only the ports of
 its pool, each vertex's ports split by side in pool order, and the blossom
 search state. A port's neighbours are generated during the search: the ports
-of the opposite side at its vertex, then sigma (outside ports at a source),
-then tau (outside ports at an add sink, member ports at a remove sink). One
+of the opposite side at its vertex, then sigma (outside ports at a source).
+Tau is adjacent to the outside ports at an add sink and the member ports at
+a remove sink; the search tests each port for that as it becomes outer. One
 gadget serves every search of a loop: ``drop`` takes an edge out of the pool,
 ``flip`` moves it to the other side, and each search resets only the nodes it
 reached. ``find_alternating_trail`` is the one-shot form.
 
-A search pays for what it finds where it can: when a non-member edge joins a
-source to an add sink, the root's expansion returns it as a one-edge trail
-before it queues anything else, which is the trail the full search would
-return. A gadget also keeps the set of vertices with an outside port, the only
-vertices where a growing trail (``growing_trail``) can start or end, so a
-growing-trail search tests room there rather than at every vertex.
+A search pays for what it finds: it returns as soon as it queues a port at
+a sink, without expanding the ports queued before it, so a short trail costs
+about as much as the ports the search queues on the way. A gadget also keeps
+the set of vertices with an outside port, the only vertices where a growing
+trail (``growing_trail``) can start or end, so a growing-trail search tests
+room there rather than at every vertex.
 """
 
 from __future__ import annotations
@@ -185,15 +186,14 @@ def _augmenting_node_path(
 ) -> list[int] | None:
     """Blossom search for an augmenting path from sigma to tau.
 
-    The root's expansion returns ``[sigma, u, w, tau]`` as soon as a root
-    child ``u`` (an outside port at a source) has its partner ``w`` at an add
-    sink, so a search that finds a one-edge trail costs about as much as the
-    ports it passes on the way. Blossom contraction keeps explicit member
-    lists per base class (in a per-search dict) so each event touches only the
-    absorbed nodes. The gadget's search arrays are left as found, early return
-    included: the queue keeps every outer node, every other node the search
-    reached is the partner of one (or tau), and ``stamp`` is versioned by a
-    running epoch.
+    Tau's neighbours are the ports at a sink (inside at a remove sink, outside
+    at an add sink), so the search returns as soon as such a port becomes
+    outer: at the root's expansion, by tree growth, or in a blossom once it is
+    relabelled. Blossom contraction keeps explicit member lists per base class
+    (in a per-search dict) so each event touches only the absorbed nodes. The
+    gadget's search arrays are left as found, early return included: the
+    queue keeps every outer node, every other node the search reached is the
+    partner of one, and ``stamp`` is versioned by a running epoch.
     """
     parent, base, used, stamp = gadget.parent, gadget.base, gadget.used, gadget.stamp
     match, vertex_of, inside = gadget.match, gadget.vertex_of, gadget.inside
@@ -203,6 +203,7 @@ def _augmenting_node_path(
     used[root] = True
     queue: list[int] = []  # never shrinks: ``head`` is the next node to expand
     epoch = gadget.epoch
+    sinks = (add_sinks, remove_sinks)  # indexed by ``inside``: tau's neighbours
 
     def lca(a: int, b: int) -> int:
         nonlocal epoch
@@ -230,28 +231,21 @@ def _augmenting_node_path(
             v = parent[match[v]]
 
     try:
-        # The root's expansion, specialised: each outside port at a source
-        # becomes inner; when its partner is inner already (both ends of the
-        # edge are sources), the edge closes a blossom whose base is the root.
-        # The root's class is never absorbed, so its member list is not kept.
-        #
-        # The first root child whose partner sits at an add sink ends the
-        # search with the one-edge path the full search would return: the
-        # main loop pops the root children's partners first, in this order;
-        # an outside partner links to tau only when its vertex is an add
-        # sink; and nothing popped before it can return, because blossoms
-        # only append to the queue. What was set so far is in the queue and
-        # is reset below.
+        # The root's expansion: each outside port at a source becomes inner
+        # and its partner outer; when the partner is inner already (both ends
+        # of the edge are sources), the edge closes a blossom whose base is
+        # the root. The root's class is never absorbed, so its member list is
+        # not kept.
         for x in sorted(sources):
             for u in outside_at[x]:
                 w = match[u]
-                if vertex_of[w] in add_sinks:
-                    return [_SIGMA, u, w, _TAU]
                 parent[u] = root
                 if parent[w] != -1:
                     base[u] = base[w] = root
                 used[w] = True
                 queue.append(w)
+                if vertex_of[w] in sinks[inside[w]]:
+                    return _walk_back(w, parent, match)
         head = 0
         while head < len(queue):
             v = queue[head]
@@ -259,18 +253,14 @@ def _augmenting_node_path(
             x = vertex_of[v]
             if inside[v]:
                 neighbours = outside_at[x]
-                if x in remove_sinks:
-                    neighbours = neighbours + [_TAU]
             else:
                 neighbours = inside_at[x]
                 if x in sources:
                     neighbours = neighbours + [_SIGMA]
-                if x in add_sinks:
-                    neighbours = neighbours + [_TAU]
             for u in neighbours:
                 if base[v] == base[u] or match[v] == u:
                     continue
-                if u == root or (match[u] != -1 and parent[match[u]] != -1):
+                if u == root or parent[match[u]] != -1:
                     stem = lca(v, u)
                     absorbed: list[int] = []
                     mark_path(v, stem, u, absorbed)
@@ -278,6 +268,7 @@ def _augmenting_node_path(
                     bucket = members.get(stem)
                     if bucket is None:
                         bucket = members[stem] = [stem]
+                    outer = len(queue)
                     for rep in absorbed:
                         if base[rep] == stem:  # the stem itself, or absorbed already
                             continue
@@ -288,17 +279,20 @@ def _augmenting_node_path(
                                 used[i] = True
                                 queue.append(i)
                         bucket.extend(group)
+                    for w in queue[outer:]:
+                        if vertex_of[w] in sinks[inside[w]]:
+                            return _walk_back(w, parent, match)
                 elif parent[u] == -1:
                     parent[u] = v
-                    if match[u] == -1:
-                        return _walk_back(u, parent, match)
-                    used[match[u]] = True
-                    queue.append(match[u])
+                    w = match[u]
+                    used[w] = True
+                    queue.append(w)
+                    if vertex_of[w] in sinks[inside[w]]:
+                        return _walk_back(w, parent, match)
         return None
     finally:
         gadget.epoch = epoch
         used[root] = False
-        parent[_TAU] = -1
         for w in queue:
             for i in (w, match[w]):
                 parent[i] = -1
@@ -306,9 +300,10 @@ def _augmenting_node_path(
                 used[i] = False
 
 
-def _walk_back(end: int, parent: list[int], match: list[int]) -> list[int]:
-    path = [end]
-    v = parent[end]
+def _walk_back(outer: int, parent: list[int], match: list[int]) -> list[int]:
+    """The path from sigma to the outer port ``outer`` and on to tau."""
+    path = [_TAU]
+    v = outer
     while True:
         path.append(v)
         if match[v] == -1:

@@ -6,7 +6,9 @@ orient so the source is no larger than the target, then peel alternating
 trails (preferring growing ones) and dispatch each by its class. At slack 1
 with equal sizes the procedure either works between maximum subgraphs (where
 locked upper-tight cycles are conclusive) or routes through a one-edge
-augmentation of the target. Every Yes answer is replayed through the verifier
+augmentation of the target. Between maximum subgraphs one whole-host gadget,
+built once, answers the maximality test and then every escape search, flipped
+with each peeled trail. Every Yes answer is replayed through the verifier
 before being returned.
 """
 
@@ -111,10 +113,11 @@ def _solve(inst: Instance, trace: list[TraceEntry]) -> Decision:
             return Decision.accept(reversed_moves(list(decision.moves)))
         return decision
     if inst.k == 1 and len(inst.source) == len(inst.target):
-        if is_maximum(inst.graph, inst.bounds, inst.source):
-            return _process(inst, trace, max_regime=True)
+        host = Gadget(inst.graph, inst.graph.edge_ids, inst.source.edge_set)
+        if is_maximum(inst.graph, inst.bounds, inst.source, host):
+            return _process(inst, trace, host)
         return _solve_equal_nonmax(inst, trace)
-    return _process(inst, trace, max_regime=False)
+    return _process(inst, trace)
 
 
 def _solve_equal_nonmax(inst: Instance, trace: list[TraceEntry]) -> Decision:
@@ -125,7 +128,7 @@ def _solve_equal_nonmax(inst: Instance, trace: list[TraceEntry]) -> Decision:
     bigger = inst.target.copy()
     bigger.flip(grow.edges)
     inner = Instance(inst.graph, inst.bounds, inst.source, bigger, 1)
-    decision = _process(inner, trace, max_regime=False)
+    decision = _process(inner, trace)
     if decision.yes:
         ctx = bigger.copy()
         tail: list[Move] = []
@@ -145,16 +148,16 @@ def _solve_equal_nonmax(inst: Instance, trace: list[TraceEntry]) -> Decision:
     return _decide_core(restrict_instance(inst, frozen), trace)
 
 
-def _process(inst: Instance, trace: list[TraceEntry], max_regime: bool) -> Decision:
+def _process(inst: Instance, trace: list[TraceEntry], host: Gadget | None = None) -> Decision:
     graph, bounds = inst.graph, inst.bounds
     ctx = inst.source.copy()
     out: list[Move] = []
     remaining = Subgraph(graph, inst.source.edge_set ^ inst.target.edge_set)
     # Every rule's net effect is exactly its trail's flip, so one gadget over
     # the difference (dropping peeled edges) serves every growing-trail
-    # search, and one whole-host gadget (flipping them) every escape search.
+    # search, and ``host`` (flipping them) every escape search. ``host`` spans
+    # the whole host and is given exactly between maximum subgraphs at slack 1.
     pool = Gadget(graph, remaining.edge_set, ctx.edge_set)
-    host: Gadget | None = None
     while remaining.edge_set:
         searched = find_augmenting_trail(graph, bounds, ctx, inst.target, pool)
         if searched is not None:
@@ -181,9 +184,7 @@ def _process(inst: Instance, trace: list[TraceEntry], max_regime: bool) -> Decis
                 _elementary(trail, ctx, bounds, out)
                 rule = "open-even"
         elif cls is TrailClass.B_TIGHT_CYCLE:
-            if max_regime:
-                if host is None:
-                    host = Gadget(graph, graph.edge_ids, ctx.edge_set)
+            if host is not None:
                 try:
                     _btight_cycle(trail, ctx, graph, bounds, out, host)
                     rule = "tight-cycle-escape"

@@ -20,23 +20,36 @@ def m_fixed_subgraph(graph: Graph, bounds: DegreeBounds, current: Subgraph) -> S
     fixed, all edges at v are fixed (v can never accept another edge).
     Rule 2: if deg(v) equals the lower bound and every non-current edge at v
     is fixed, all edges at v are fixed (v can never shed an edge).
+
+    Worked off a stack: a vertex at a bound counts the unfixed edges on its
+    pinned side (current at the upper bound, non-current at the lower one)
+    and is pushed when the count reaches 0, so each edge is fixed once.
     """
-    fixed: set[int] = set()
+    member, degrees = current.edge_set, current.degrees
+    side: list[bool | None] = [None] * graph.n
+    unfixed = [0] * graph.n
+    stack: list[int] = []
     for v in range(graph.n):
-        if bounds.lower[v] == bounds.upper[v]:
-            fixed.update(graph.incident[v])
-    prev = -1
-    while len(fixed) > prev:
-        prev = len(fixed)
-        for v in range(graph.n):
-            inc = graph.incident[v]
-            in_cur = [e for e in inc if e in current]
-            if current.degrees[v] == bounds.upper[v] and all(e in fixed for e in in_cur):
-                fixed.update(inc)
-            elif current.degrees[v] == bounds.lower[v] and all(
-                e in fixed for e in inc if e not in current.edge_set
-            ):
-                fixed.update(inc)
+        if bounds.lower[v] != bounds.upper[v]:
+            if degrees[v] == bounds.upper[v]:
+                side[v], unfixed[v] = True, degrees[v]
+            elif degrees[v] == bounds.lower[v]:
+                side[v], unfixed[v] = False, graph.degree[v] - degrees[v]
+            else:
+                continue
+        if not unfixed[v]:
+            stack.append(v)
+    fixed: set[int] = set()
+    while stack:
+        for e in graph.incident[stack.pop()]:
+            if e in fixed:
+                continue
+            fixed.add(e)
+            for x in graph.edges[e]:
+                if side[x] == (e in member):
+                    unfixed[x] -= 1
+                    if not unfixed[x]:
+                        stack.append(x)
     return Subgraph(graph, fixed)
 
 

@@ -71,10 +71,13 @@ def augment(
     return out
 
 
-def is_maximum(graph: Graph, bounds: DegreeBounds, sub: Subgraph) -> bool:
+def is_maximum(
+    graph: Graph, bounds: DegreeBounds, sub: Subgraph, gadget: Gadget | None = None
+) -> bool:
+    """``gadget``, when given, spans the whole host around ``sub``."""
     if not is_ab_constrained(sub, bounds):
         raise ContractError("maximality test requires a feasible subgraph")
-    return augment_trail(graph, bounds, sub) is None
+    return augment_trail(graph, bounds, sub, gadget) is None
 
 
 def maximum_dcs(graph: Graph, bounds: DegreeBounds) -> Subgraph | None:

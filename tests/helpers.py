@@ -123,6 +123,31 @@ def compute_even_set(graph: Graph, bounds: DegreeBounds, current: Subgraph) -> E
     return EvenSet(frozenset(members))
 
 
+def m_fixed_by_sweeps(graph: Graph, bounds: DegreeBounds, current: Subgraph) -> set[int]:
+    """The fixed-edge fixpoint by whole-graph sweeps until nothing changes.
+
+    Reference for ``obstructions.m_fixed_subgraph``: a propagation chain
+    numbered against the sweep order gains one edge per sweep.
+    """
+    fixed: set[int] = set()
+    for v in range(graph.n):
+        if bounds.lower[v] == bounds.upper[v]:
+            fixed.update(graph.incident[v])
+    prev = -1
+    while len(fixed) > prev:
+        prev = len(fixed)
+        for v in range(graph.n):
+            inc = graph.incident[v]
+            in_cur = [e for e in inc if e in current]
+            if current.degrees[v] == bounds.upper[v] and all(e in fixed for e in in_cur):
+                fixed.update(inc)
+            elif current.degrees[v] == bounds.lower[v] and all(
+                e in fixed for e in inc if e not in current.edge_set
+            ):
+                fixed.update(inc)
+    return fixed
+
+
 def _canonical(n: int, edges: frozenset[tuple[int, int]]) -> tuple:
     best = None
     for perm in itertools.permutations(range(n)):
@@ -214,3 +239,76 @@ def loose_instance(rng, n: int, m: int) -> Instance:
         min(g.degree[v], max(s1.degrees[v], s2.degrees[v]) + 1) for v in range(g.n)
     ]
     return Instance(g, DegreeBounds(g, lower, upper), s1, s2, rng.choice([1, 2, 3]))
+
+
+def planted_tight_cycles(rng, m: int, cycles: int, locked: bool) -> Instance:
+    """Slack 1 between two maximum subgraphs whose difference is upper-tight cycles.
+
+    ``cycles`` vertex-disjoint alternating cycles of 4, 6 or 8 edges form the
+    difference, each with an escape route from one of its vertices to a vertex
+    ``s``: an alternating path of 1 to 3 edges in neither subgraph, joined by
+    edges in both. Every vertex off the cycles gets an edge in both, and random
+    edges (a quarter in both) fill the host to ``m`` edges. Bounds are a=0 and
+    b = the source degree, which the target shares, so both are maximum; ``s``
+    has one unit of room unless ``locked``. The answer is Yes at slack 1
+    exactly when not ``locked``.
+    """
+    n = max(m // 3, 12 * cycles + 2)
+    names = list(range(n))
+    rng.shuffle(names)
+    fresh = iter(names)
+    edges: dict[tuple[int, int], str] = {}
+
+    def add(u: int, v: int, side: str) -> None:
+        edges[(min(u, v), max(u, v))] = side
+
+    s = next(fresh)
+    for _ in range(cycles):
+        ring = [next(fresh) for _ in range(rng.choice((4, 6, 8)))]
+        for i, u in enumerate(ring):
+            add(u, ring[(i + 1) % len(ring)], "source" if i % 2 else "target")
+        at = rng.choice(ring)
+        for _ in range(rng.randint(1, 3) - 1):
+            z1, z2 = next(fresh), next(fresh)
+            add(at, z1, "neither")
+            add(z1, z2, "both")
+            at = z2
+        add(at, s, "neither")
+    rest = list(fresh) + [s]
+    rng.shuffle(rest)
+    for i in range(0, len(rest) - 1, 2):
+        add(rest[i], rest[i + 1], "both")
+    if len(rest) % 2:
+        add(rest[-1], rest[0], "both")
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
+    for pair in rng.sample(pairs, max(0, m - len(edges))):
+        edges[pair] = "both" if rng.random() < 0.25 else "neither"
+    order = list(edges)
+    rng.shuffle(order)
+    g = Graph(n, order)
+    source = Subgraph(g, [e for e, p in enumerate(order) if edges[p] in ("source", "both")])
+    target = Subgraph(g, [e for e, p in enumerate(order) if edges[p] in ("target", "both")])
+    upper = list(source.degrees)
+    if not locked:
+        upper[s] += 1
+    return Instance(g, DegreeBounds(g, [0] * n, upper), source, target, 1)
+
+
+def relabelled(inst: Instance, rng) -> Instance:
+    """The same instance with its vertices renamed and its edges reordered."""
+    g = inst.graph
+    name = list(range(g.n))
+    rng.shuffle(name)
+    order = list(range(g.m))
+    rng.shuffle(order)
+    position = {e: i for i, e in enumerate(order)}
+    h = Graph(g.n, [(name[g.edges[e][0]], name[g.edges[e][1]]) for e in order])
+    lower, upper = [0] * g.n, [0] * g.n
+    for v in range(g.n):
+        lower[name[v]], upper[name[v]] = inst.bounds.lower[v], inst.bounds.upper[v]
+
+    def moved(sub: Subgraph) -> Subgraph:
+        return Subgraph(h, [position[e] for e in sub.edge_set])
+
+    bounds = DegreeBounds(h, lower, upper)
+    return Instance(h, bounds, moved(inst.source), moved(inst.target), inst.k)

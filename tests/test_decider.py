@@ -24,8 +24,10 @@ from helpers import (
     inst,
     loose_instance,
     path_graph,
+    planted_tight_cycles,
     random_bounds,
     random_connected_graph,
+    relabelled,
     sub,
 )
 
@@ -232,7 +234,7 @@ def test_equal_size_detour_freezes_cycle_outside_difference(monkeypatch):
     real_process = dec._process
     staged = {"armed": True}
 
-    def fake_process(inner, trace, max_regime):
+    def fake_process(inner, trace, host=None):
         if staged["armed"]:
             staged["armed"] = False
             return dec.Decision.reject(
@@ -242,7 +244,7 @@ def test_equal_size_detour_freezes_cycle_outside_difference(monkeypatch):
                     context="any slack",
                 )
             )
-        return real_process(inner, trace, max_regime)
+        return real_process(inner, trace, host)
 
     monkeypatch.setattr(dec, "_process", fake_process)
     d, trace = decide_with_trace(i)
@@ -268,6 +270,32 @@ def test_upper_tight_cycle_escape_at_slack_one():
     assert verify_move_sequence(i, list(d.moves))
     assert any(entry.rule == "tight-cycle-escape" for entry in trace)
     assert oracle_decide(i)
+
+
+def test_escapes_in_large_hosts_keep_their_verdict_under_metamorphic_relations():
+    """Upper-tight cycles with escape routes in hosts of 200-1,000 edges, past
+    the oracle: swapping source and target and renaming vertices and edges
+    keep the verdict, Yes at slack 1 stays Yes at slack 2, and every Yes
+    replays."""
+    rng = random.Random(41)
+    for i in range(30):
+        locked = i % 3 == 2
+        plain = planted_tight_cycles(rng, 200 + 800 * i // 29, rng.randint(2, 8), locked)
+        d, trace = decide_with_trace(plain)
+        assert d.yes == (not locked)
+        assert locked or any(entry.rule == "tight-cycle-escape" for entry in trace)
+        related = [
+            Instance(plain.graph, plain.bounds, plain.target, plain.source, 1),
+            relabelled(plain, rng),
+            Instance(plain.graph, plain.bounds, plain.source, plain.target, 2),
+        ]
+        verdicts = [decide(r) for r in related]
+        for r, v in zip([plain] + related, [d] + verdicts):
+            if v.yes:
+                assert verify_move_sequence(r, list(v.moves))
+        swapped, renamed, wider = verdicts
+        assert swapped.yes == renamed.yes == d.yes
+        assert wider.yes or not d.yes
 
 
 @st.composite

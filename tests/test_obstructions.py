@@ -1,8 +1,11 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dcsreconf.core import DegreeBounds, Instance
+from dcsreconf.core import DegreeBounds, Graph, Instance, Subgraph
 from dcsreconf.errors import ContractError
 from dcsreconf.obstructions import (
     fixed_edge_witness,
@@ -11,7 +14,7 @@ from dcsreconf.obstructions import (
 )
 from dcsreconf.oracle import enumerate_ab_constrained, oracle_reachable_states
 
-from helpers import bounds, graph, inst, path_graph, random_bounds, sub
+from helpers import bounds, graph, inst, m_fixed_by_sweeps, path_graph, random_bounds, sub
 
 
 def test_empty_seed_gives_empty_fixpoint():
@@ -52,6 +55,45 @@ def test_fixpoint_stability_and_monotone_growth():
         diff = m.edge_set ^ rng.choice(states).edge_set
         if diff & fixed.edge_set:
             continue
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_worklist_fixpoint_matches_whole_graph_sweeps(data):
+    n = data.draw(st.integers(2, 10))
+    pairs = list(itertools.combinations(range(n), 2))
+    g = Graph(n, data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=20)))
+    if g.m:  # some edges switched off, as after a restriction
+        g = g.without(data.draw(st.sets(st.sampled_from(range(g.m)))))
+    on = list(g.edge_ids)
+    current = Subgraph(g, data.draw(st.sets(st.sampled_from(on))) if on else ())
+    # bounds at or next to the current degree, so many vertices sit at one
+    step = st.integers(0, 1)
+    lower = [max(0, d - data.draw(step)) for d in current.degrees]
+    upper = [min(g.degree[v], d + data.draw(step)) for v, d in enumerate(current.degrees)]
+    b = DegreeBounds(g, lower, upper)
+    assert m_fixed_subgraph(g, b, current).edge_set == m_fixed_by_sweeps(g, b, current)
+
+
+def pinned_chain(m: int, reverse: bool):
+    """A path of ``m`` edges, alternately current and not, pinned at its first
+    vertex; inner vertices alternate between deg = upper and deg = lower, so
+    fixing propagates along the whole path. ``reverse`` numbers the vertices
+    from the far end."""
+    label = (lambda i: m - i) if reverse else (lambda i: i)
+    g = Graph(m + 1, [(label(i), label(i + 1)) for i in range(m)])
+    lower, upper = [0] * (m + 1), [1] * (m + 1)
+    lower[label(0)] = 1
+    for i in range(2, m, 2):
+        lower[label(i)], upper[label(i)] = 1, 2
+    return g, DegreeBounds(g, lower, upper), Subgraph(g, range(0, m, 2))
+
+
+def test_fixing_propagates_along_a_long_chain_in_either_numbering():
+    forward = m_fixed_subgraph(*pinned_chain(10_000, reverse=False)).edge_set
+    backward = m_fixed_subgraph(*pinned_chain(10_000, reverse=True)).edge_set
+    assert forward == backward == set(range(10_000))
+    assert m_fixed_by_sweeps(*pinned_chain(40, reverse=True)) == set(range(40))
 
 
 def test_fixed_edge_witness_examples():

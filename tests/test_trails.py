@@ -85,18 +85,27 @@ def test_augmenting_trail_star():
 
 
 def test_engine_agrees_with_exhaustive_search():
+    """Random terminals, plus the two shapes the callers use: growing searches
+    (sources equal to the add sinks) and escape searches (remove sinks only),
+    which reach sinks through blossoms."""
     rng = random.Random(23)
-    for trial in range(250):
-        n = rng.randint(3, 6)
+    for trial in range(1000):
+        n = rng.randint(3, 8)
         pairs = list(itertools.combinations(range(n), 2))
         rng.shuffle(pairs)
-        g = Graph(n, pairs[: rng.randint(2, min(8, len(pairs)))])
+        g = Graph(n, pairs[: rng.randint(2, min(12, len(pairs)))])
         member = {e for e in range(g.m) if rng.random() < 0.5}
         pool = [e for e in range(g.m) if rng.random() < 0.8]
         member &= set(pool)
         sources = {v for v in range(g.n) if rng.random() < 0.5}
-        add_sinks = {v for v in range(g.n) if rng.random() < 0.5}
-        remove_sinks = {v for v in range(g.n) if rng.random() < 0.3}
+        shape = trial % 3
+        if shape == 0:
+            add_sinks = {v for v in range(g.n) if rng.random() < 0.5}
+            remove_sinks = {v for v in range(g.n) if rng.random() < 0.3}
+        elif shape == 1:
+            add_sinks, remove_sinks = sources, set()
+        else:
+            add_sinks, remove_sinks = set(), {v for v in range(g.n) if rng.random() < 0.3}
         got = find_alternating_trail(g, pool, member, sources, add_sinks, remove_sinks)
         want = brute_has_trail(g, pool, member, sources, add_sinks, remove_sinks)
         assert (got is not None) == want, (

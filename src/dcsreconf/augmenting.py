@@ -26,12 +26,15 @@ about as much as the ports the search queues on the way. A gadget also keeps
 the set of vertices with an outside port, the only vertices where a growing
 trail (``growing_trail``) can start or end, so a growing-trail search tests
 room there rather than at every vertex.
+
+Every trail search lets a trail end back at its own start only where that
+vertex can move two steps; ``Gadget.search`` owns that closing rule.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .core import DegreeBounds, Graph, Subgraph
 from .trail_type import Trail
@@ -100,6 +103,7 @@ class Gadget:
         sources: set[int],
         add_sinks: set[int],
         remove_sinks: set[int] = frozenset(),
+        closes: Callable[[int], bool] | None = None,
     ) -> Trail | None:
         """Find a trail within the pool alternating around the member set.
 
@@ -108,7 +112,26 @@ class Gadget:
         trail, one more non-member than member edge) or at a vertex in
         ``remove_sinks`` with a member edge (even trail). Returns None when no
         such trail exists.
+
+        ``closes``, when given, says where an odd trail may end back at its
+        start. A lone source is dropped from the add sinks unless it closes.
+        Several are searched at once, and once per start in vertex order only
+        when that returns a closed trail at a start that cannot close, since
+        then acceptance depends on the start.
         """
+        if closes is not None and len(sources) > 1:
+            found = self.search(sources, add_sinks, remove_sinks)
+            if found is None or not found.is_closed or closes(found.vertices[0]):
+                return found
+            for u in sorted(sources):
+                found = self.search({u}, add_sinks, remove_sinks, closes)
+                if found is not None:
+                    return found
+            return None
+        if closes is not None and len(sources) == 1:
+            (x,) = sources
+            if not closes(x):
+                add_sinks = add_sinks - {x}
         if not self.index or not sources or not (add_sinks or remove_sinks):
             return None
         node_path = _augmenting_node_path(self, sources, add_sinks, remove_sinks)
@@ -143,21 +166,7 @@ def growing_trail(gadget: Gadget, bounds: DegreeBounds, current: Subgraph) -> Tr
     # Only a vertex with a non-member edge in the pool can start or end a
     # growing trail, so room is tested there alone.
     room = {v for v in gadget.outside_vertices if degrees[v] < upper[v]}
-    found = gadget.search(room, room)
-    if found is None or not found.is_closed or degrees[found.vertices[0]] + 2 <= upper[
-        found.vertices[0]
-    ]:
-        return found
-    # The first search produced a closed trail without headroom; redo it once
-    # per admissible start so acceptance can depend on the start vertex.
-    for u in sorted(room):
-        sinks = {w for w in room if w != u}
-        if degrees[u] + 2 <= upper[u]:
-            sinks.add(u)
-        found = gadget.search({u}, sinks)
-        if found is not None:
-            return found
-    return None
+    return gadget.search(room, room, closes=lambda v: degrees[v] + 2 <= upper[v])
 
 
 def _decode(gadget: Gadget, node_path: list[int]) -> Trail:

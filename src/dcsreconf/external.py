@@ -10,12 +10,13 @@ can take the change. Both routines restore every off-cycle side effect.
 
 from __future__ import annotations
 
-from .augmenting import Gadget, find_alternating_trail
+from .augmenting import Gadget
 from .core import DegreeBounds, Graph, Move, Subgraph
 from .errors import ContractError, LockedCycleError, SynthesisError
 from .internal import _elementary
-# Not called here; bound because the benchmark's traced run wraps this name
+# Not called here; bound because the benchmark's traced run wraps these names
 # (``perfbench/tracer.py``, ``_WRAPS``).
+from .augmenting import find_alternating_trail  # noqa: F401
 from .solver import feasible_subgraph  # noqa: F401
 from .trail_type import Trail, concat, single_edge_trail
 from .trails import is_alternatingly_ab_tight
@@ -26,23 +27,18 @@ def _escape_trail(
     bounds: DegreeBounds,
     current: Subgraph,
     candidates: set[int],
-    gadget: Gadget | None = None,
+    gadget: Gadget,
 ) -> Trail | None:
     """Even alternating trail from a candidate, first edge inside, ending at slack.
 
     Searched in reverse (from the slack vertices back to the candidates) so
     the generic engine's start convention applies; edge-distinctness is
-    enforced by the engine's gadget construction. ``gadget``, when given,
-    spans the whole host around ``current``.
+    enforced by the engine's gadget construction. ``gadget`` spans the whole
+    host around ``current``.
     """
     slack = {v for v in range(graph.n) if current.degrees[v] < bounds.upper[v]}
     goals = {v for v in candidates if current.degrees[v] > bounds.lower[v]}
-    if gadget is None:
-        found = find_alternating_trail(
-            graph, graph.edge_ids, current.edge_set, slack, set(), goals
-        )
-    else:
-        found = gadget.search(slack, set(), goals)
+    found = gadget.search(slack, set(), goals)
     return found.reversed() if found is not None else None
 
 
@@ -83,7 +79,7 @@ def _btight_cycle(
     graph: Graph,
     bounds: DegreeBounds,
     out: list[Move],
-    gadget: Gadget | None = None,
+    gadget: Gadget,
 ) -> None:
     if not cycle.is_closed or len(cycle) % 2 != 0:
         raise ContractError("closed even-length cycle expected")
@@ -162,31 +158,15 @@ def exists_unlocking_subgraph(
         if not starts:
             continue
         member = {e for e in host.edge_ids if e not in current} if inside else current.edge_set
+        # A start's degree moves one step the way its first edge's flip moves
+        # it; ``ahead[v]`` and ``behind[v]`` count the steps ``v`` can take
+        # that way and the other way, so a trail may close only at a start
+        # that can take two steps ahead.
         ahead, behind = (spare, room) if inside else (room, spare)
-        found = _unlocking_trail(Gadget(graph, host.edge_ids, member), starts, ahead, behind)
-        if found is not None:
-            return found
-    return None
-
-
-def _unlocking_trail(
-    gadget: Gadget, starts: set[int], ahead: list[int], behind: list[int]
-) -> Trail | None:
-    """A trail from ``starts``, first edge a non-member, whose flip every vertex takes.
-
-    A start's degree moves one step the way its first edge's flip moves it;
-    ``ahead[v]`` and ``behind[v]`` count the steps ``v`` can take that way and
-    the other way. As in ``growing_trail``, all starts are searched at once,
-    and the search is redone per start only when it returns a closed trail
-    whose start cannot take two steps.
-    """
-    add_sinks = {v for v, steps in enumerate(ahead) if steps > 0}
-    remove_sinks = {v for v, steps in enumerate(behind) if steps > 0}
-    found = gadget.search(starts, add_sinks, remove_sinks)
-    if found is None or not found.is_closed or ahead[found.vertices[0]] >= 2:
-        return found
-    for u in sorted(starts):
-        found = gadget.search({u}, add_sinks if ahead[u] >= 2 else add_sinks - {u}, remove_sinks)
+        add_sinks = {v for v, steps in enumerate(ahead) if steps > 0}
+        remove_sinks = {v for v, steps in enumerate(behind) if steps > 0}
+        gadget = Gadget(graph, host.edge_ids, member)
+        found = gadget.search(starts, add_sinks, remove_sinks, closes=lambda v: ahead[v] >= 2)
         if found is not None:
             return found
     return None

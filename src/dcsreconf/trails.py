@@ -5,7 +5,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .augmenting import Gadget, find_alternating_trail, growing_trail
-from .core import DegreeBounds, Graph, Subgraph, symmetric_difference
+from .core import DegreeBounds, Graph, Subgraph, is_ab_constrained, symmetric_difference
 from .errors import ContractError, SynthesisError
 from .trail_type import Trail, alternates
 
@@ -105,21 +105,25 @@ def alternating_trail_decomposition(
     """
     if source == target:
         raise ContractError("decomposition requires distinct source and target")
+    if not is_ab_constrained(source, bounds):
+        raise ContractError("decomposition requires a feasible source")
     snapshots: list[Subgraph] = []
     trails: list[Trail] = []
     cur = source.copy()
-    gadget = Gadget(graph, source.edge_set ^ target.edge_set, source.edge_set)
-    while cur != target:
+    remaining = symmetric_difference(source, target)
+    gadget = Gadget(graph, remaining.edge_set, source.edge_set)
+    while remaining.edge_set:
         snapshots.append(cur.copy())
         trail = find_augmenting_trail(graph, bounds, cur, target, gadget)
         if trail is None:
-            diff = symmetric_difference(cur, target)
-            trail = find_maximal_alternating_trail(diff, cur, min(diff.edge_set))
+            trail = find_maximal_alternating_trail(remaining, cur, min(remaining.edge_set))
         trails.append(trail)
         for e in trail.edges:
             gadget.drop(e)
+            remaining.remove(e)
         cur.flip(trail.edges)
-        if not all(bounds.lower[v] <= cur.degrees[v] <= bounds.upper[v] for v in range(graph.n)):
+        # a flip moves the degree only at the trail's vertices
+        if not all(bounds.lower[v] <= cur.degrees[v] <= bounds.upper[v] for v in trail.vertices):
             raise SynthesisError("decomposition produced an infeasible intermediate subgraph")
     return snapshots, trails
 

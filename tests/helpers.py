@@ -6,7 +6,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from dcsreconf.augmenting import Gadget
+from dcsreconf.augmenting import Gadget, find_alternating_trail
 from dcsreconf.core import DegreeBounds, Graph, Instance, Move, Subgraph
 from dcsreconf.external import _escape_trail
 
@@ -146,6 +146,37 @@ def m_fixed_by_sweeps(graph: Graph, bounds: DegreeBounds, current: Subgraph) -> 
             ):
                 fixed.update(inc)
     return fixed
+
+
+def feasible_by_fresh_gadgets(graph: Graph, bounds: DegreeBounds) -> Subgraph | None:
+    """A feasible subgraph by repairing the first deficient vertex, one search
+    on a fresh whole-host gadget per unit of deficiency.
+
+    Reference for ``solver.feasible_subgraph``, which keeps one gadget and
+    its sink sets in step with every repair instead.
+    """
+    sub = Subgraph(graph)
+    while True:
+        deficient = next(
+            (v for v in range(graph.n) if sub.degrees[v] < bounds.lower[v]), None
+        )
+        if deficient is None:
+            return sub
+        v = deficient
+        add_sinks = {
+            w for w in range(graph.n) if w != v and sub.degrees[w] < bounds.upper[w]
+        }
+        if sub.degrees[v] + 2 <= bounds.upper[v]:
+            add_sinks.add(v)
+        remove_sinks = {
+            w for w in range(graph.n) if w != v and sub.degrees[w] > bounds.lower[w]
+        }
+        trail = find_alternating_trail(
+            graph, graph.edge_ids, sub.edge_set, {v}, add_sinks, remove_sinks
+        )
+        if trail is None:
+            return None
+        sub.flip(trail.edges)
 
 
 def _canonical(n: int, edges: frozenset[tuple[int, int]]) -> tuple:

@@ -1,6 +1,7 @@
 """A gadget kept across drops, flips and searches answers like a fresh one."""
 
 import itertools
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -98,20 +99,73 @@ def test_edited_gadget_tracks_outside_vertices(data):
     assert gadget.outside_vertices == {x for e in pool - member for x in g.edges[e]}
 
 
-def growing_trail_over_every_vertex(g, pool, member, degrees, upper):
-    """``growing_trail`` on fresh gadgets, testing room at every vertex."""
-    room = {v for v in range(g.n) if degrees[v] < upper[v]}
-    found = find_alternating_trail(g, pool, member, room, room)
-    if found is None or not found.is_closed or degrees[found.vertices[0]] + 2 <= upper[
-        found.vertices[0]
-    ]:
+def search_with_retries(g, pool, member, sources, add_sinks, remove_sinks, closes):
+    """The closing rule on fresh gadgets, in two phases: every source at once,
+    then, when that closes at a start that cannot close, once per start
+    with that start dropped from the add sinks unless it can close."""
+    found = find_alternating_trail(g, pool, member, sources, add_sinks, remove_sinks)
+    if found is None or not found.is_closed or closes(found.vertices[0]):
         return found
-    for u in sorted(room):
-        sinks = {w for w in room if w != u or degrees[u] + 2 <= upper[u]}
-        found = find_alternating_trail(g, pool, member, {u}, sinks)
+    for u in sorted(sources):
+        sinks = add_sinks if closes(u) else add_sinks - {u}
+        found = find_alternating_trail(g, pool, member, {u}, sinks, remove_sinks)
         if found is not None:
             return found
     return None
+
+
+@st.composite
+def closing_cases(draw):
+    """An edited gadget on a dense host, with terminals where trails close.
+
+    The host has 3-10 vertices and at least as many edges, about half of them
+    members, then a random run of drops and flips; hosts like these have the
+    odd cycles a closed odd trail needs. The sources are one vertex or two
+    or three. They are add sinks, as in a growing search, with sometimes one
+    vertex more; the remove sinks are none or one vertex, and a quarter of
+    the vertices can close. Returns the graph, the gadget, its pool and
+    member set, the terminals and the vertices that can close.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = rng.randint(3, 10)
+    pairs = list(itertools.combinations(range(n), 2))
+    g = Graph(n, rng.sample(pairs, rng.randint(n, len(pairs))))
+    pool = set(g.edge_ids)
+    member = {e for e in pool if rng.random() < 0.5}
+    gadget = Gadget(g, pool, member)
+    for e in rng.sample(range(g.m), rng.randint(0, g.m // 3)):
+        if rng.random() < 0.5:
+            gadget.drop(e)
+            pool.discard(e)
+            member.discard(e)
+        else:
+            gadget.flip(e)
+            member ^= {e}
+    sources = set(rng.sample(range(n), 1 if rng.random() < 0.3 else rng.randint(2, 3)))
+    add_sinks = sources | ({rng.randrange(n)} if rng.random() < 0.3 else set())
+    remove_sinks = {rng.randrange(n)} if rng.random() < 0.3 else set()
+    closing = {v for v in range(n) if rng.random() < 0.25}
+    return g, gadget, pool, member, (sources, add_sinks, remove_sinks), closing
+
+
+@settings(max_examples=300, deadline=None)
+@given(closing_cases())
+def test_search_applies_the_closing_rule_like_a_two_phase_reference(case):
+    """A lone source is dropped from the add sinks at once; several sources
+    are retried one by one only after a closed trail at a start that cannot
+    close. Either way the trail is the two-phase reference's."""
+    g, gadget, pool, member, terminals, closing = case
+    closes = closing.__contains__
+    want = search_with_retries(g, pool, member, *terminals, closes)
+    assert gadget.search(*terminals, closes) == want
+
+
+def growing_trail_over_every_vertex(g, pool, member, degrees, upper):
+    """``growing_trail`` on fresh gadgets, testing room at every vertex."""
+    room = {v for v in range(g.n) if degrees[v] < upper[v]}
+    return search_with_retries(
+        g, pool, member, room, room, set(), lambda v: degrees[v] + 2 <= upper[v]
+    )
 
 
 @settings(max_examples=300, deadline=None)

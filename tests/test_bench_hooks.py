@@ -4,7 +4,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+import dcsreconf
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def test_every_traced_name_is_bound():
@@ -15,3 +18,12 @@ def test_every_traced_name_is_bound():
     for module_name, attr, _ in tracer._WRAPS:
         module = importlib.import_module(f"dcsreconf.{module_name}")
         assert callable(getattr(module, attr, None)), f"dcsreconf.{module_name}.{attr}"
+
+
+def test_benchmark_tracer_check_passes(monkeypatch):
+    """The self-test's traced runs: every layer metric is reported, two runs
+    count alike, and the library is restored. A wrapped name whose call
+    changes shape fails here."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    selftest = importlib.import_module("selftest")
+    selftest.check_tracer(dcsreconf)

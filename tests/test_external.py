@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dcsreconf.augmenting import Gadget
 from dcsreconf.core import (
     DegreeBounds,
     Graph,
@@ -95,7 +96,8 @@ def test_btight_cycle_with_pendant_escape():
     g = graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])
     b = bounds(g, 0, 1)
     current = sub(g, [0, 2])
-    moves = on_copy(_btight_cycle, square_trail(), current, g, b)
+    gadget = Gadget(g, g.edge_ids, current.edge_set)
+    moves = on_copy(_btight_cycle, square_trail(), current, g, b, gadget=gadget)
     assert len(moves) >= 4  # the cycle itself plus the escape detour
     i = Instance(g, b, current, sub(g, [1, 3]), 1)
     assert verify_move_sequence(i, moves)
@@ -105,16 +107,20 @@ def test_btight_cycle_with_pendant_escape():
 def test_btight_cycle_locked_when_isolated():
     g = cycle_graph(4)
     b = bounds(g, 0, 1)
+    current = sub(g, [0, 2])
+    gadget = Gadget(g, g.edge_ids, current.edge_set)
     with pytest.raises(LockedCycleError):
-        on_copy(_btight_cycle, square_trail(), sub(g, [0, 2]), g, b)
+        on_copy(_btight_cycle, square_trail(), current, g, b, gadget=gadget)
     assert oracle_min_k(g, b, sub(g, [0, 2]), sub(g, [1, 3])) == 2
 
 
 def test_btight_cycle_rejects_vertex_below_cap():
     g = cycle_graph(4)
     b = DegreeBounds(g, [0] * 4, [1, 2, 1, 1])
+    current = sub(g, [0, 2])
+    gadget = Gadget(g, g.edge_ids, current.edge_set)
     with pytest.raises(ContractError):
-        on_copy(_btight_cycle, square_trail(), sub(g, [0, 2]), g, b)
+        on_copy(_btight_cycle, square_trail(), current, g, b, gadget=gadget)
 
 
 def test_btight_cycle_with_escape_reentering_the_cycle(monkeypatch):
@@ -127,7 +133,8 @@ def test_btight_cycle_with_escape_reentering_the_cycle(monkeypatch):
     current = sub(g, [0, 2, 4])
     crafted = Trail((0, 1, 2, 4, 5), (0, 1, 4, 5))
     monkeypatch.setattr(ext, "_escape_trail", lambda *args: crafted)
-    moves = on_copy(_btight_cycle, square_trail(), current, g, b)
+    gadget = Gadget(g, g.edge_ids, current.edge_set)
+    moves = on_copy(_btight_cycle, square_trail(), current, g, b, gadget=gadget)
     target = sub(g, [1, 3, 4])
     i = Instance(g, b, current, target, 1)
     assert verify_move_sequence(i, moves)
@@ -370,7 +377,8 @@ def test_external_routines_restore_side_effects():
     b = DegreeBounds(g, [0] * 8, [2, 1, 1, 1, 2, 2, 2, 1])
     current = sub(g, [0, 2, 4, 6])
     trail = square_trail()
-    moves = on_copy(_btight_cycle, trail, current, g, b)
+    gadget = Gadget(g, g.edge_ids, current.edge_set)
+    moves = on_copy(_btight_cycle, trail, current, g, b, gadget=gadget)
     after = current.copy()
     for m in moves:
         if m.kind == "add":

@@ -16,6 +16,7 @@ from helpers import (
     bounds,
     brute_max_size,
     cycle_graph,
+    feasible_by_fresh_gadgets,
     feasible_subsets,
     graph,
     graphs_up_to_iso,
@@ -137,3 +138,30 @@ def test_augment_output_always_feasible_and_one_bigger():
             assert is_ab_constrained(bigger, b)
             trail = augment_trail(g, b, s)
             assert trail is not None and len(trail) % 2 == 1
+
+
+def test_feasible_subgraph_matches_fresh_gadget_repairs():
+    """One kept gadget repairs exactly as a fresh gadget per unit of deficiency,
+    on small hosts (about a third with unsatisfiable lower bounds) and on one
+    loose 2,000-edge host."""
+    rng = random.Random(61)
+    unsatisfiable = 0
+    for _ in range(300):
+        g = random_connected_graph(rng, rng.randint(2, 14), rng.randint(1, 30))
+        b = random_bounds(rng, g, relax=0.2)
+        want = feasible_by_fresh_gadgets(g, b)
+        got = feasible_subgraph(g, b)
+        if want is None:
+            assert got is None
+            unsatisfiable += 1
+        else:
+            assert got is not None and got.edge_set == want.edge_set
+    assert 50 < unsatisfiable < 250
+    g = random_connected_graph(random.Random(2000), 500, 2000)
+    b = DegreeBounds(
+        g, [max(0, d // 2 - 1) for d in g.degree], [min(d, d // 2 + 1) for d in g.degree]
+    )
+    want = feasible_by_fresh_gadgets(g, b)
+    got = feasible_subgraph(g, b)
+    assert want is not None and got is not None and got.edge_set == want.edge_set
+    assert sum(b.lower) > 500  # many units of deficiency were repaired

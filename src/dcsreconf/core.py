@@ -22,6 +22,7 @@ class Graph:
 
     ``edge_ids`` lists the edges switched on, in index order: all of
     ``range(m)`` on a constructed graph, fewer on a view from ``without``.
+    Each ``incident[v]`` is in index order too, on a view as well.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
@@ -30,20 +31,21 @@ class Graph:
         self.n = n
         self.edges: list[tuple[int, int]] = []
         self.incident: list[list[int]] = [[] for _ in range(n)]
-        seen: set[tuple[int, int]] = set()
+        pairs, incident = self.edges, self.incident
+        seen: set[int] = set()  # u * n + v for u < v
         for idx, (u, v) in enumerate(edges):
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError("edge-endpoint", f"edge {idx} endpoint out of range: ({u}, {v})")
             if u == v:
                 raise InputError("edge-selfloop", f"edge {idx} is a self-loop at {u}")
-            key = (min(u, v), max(u, v))
+            key = u * n + v if u < v else v * n + u
             if key in seen:
-                raise InputError("edge-parallel", f"edge {idx} duplicates {key}")
+                raise InputError("edge-parallel", f"edge {idx} duplicates {(min(u, v), max(u, v))}")
             seen.add(key)
-            self.edges.append((u, v))
-            self.incident[u].append(idx)
-            self.incident[v].append(idx)
-        self.m = len(self.edges)
+            pairs.append((u, v))
+            incident[u].append(idx)
+            incident[v].append(idx)
+        self.m = len(pairs)
         self.degree = [len(self.incident[v]) for v in range(n)]
         self.edge_ids: Sequence[int] = range(self.m)
 

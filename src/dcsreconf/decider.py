@@ -3,13 +3,15 @@
 Pipeline: detect fixed-edge conflicts, switch the fixed edges off (they keep
 their indices, so moves, witnesses and trace entries need no mapping back),
 orient so the source is no larger than the target, then peel alternating
-trails (preferring growing ones) and dispatch each by its class. At slack 1
-with equal sizes the procedure either works between maximum subgraphs (where
-locked upper-tight cycles are conclusive) or routes through a one-edge
-augmentation of the target. Between maximum subgraphs one whole-host gadget,
-built once, answers the maximality test and then every escape search, flipped
-with each peeled trail. Every Yes answer is replayed through the verifier
-before being returned.
+trails and dispatch each by its class. Peeling has two phases: growing trails
+while a search finds one, then, after the first miss, maximal trails from the
+least edge left, with no further search (no later peel can make a growing
+trail). At slack 1 with equal sizes the procedure either works between
+maximum subgraphs (where locked upper-tight cycles are conclusive) or routes
+through a one-edge augmentation of the target. Between maximum subgraphs one
+whole-host gadget, built once, answers the maximality test and then every
+escape search, flipped with each peeled trail. Every Yes answer is replayed
+through the verifier before being returned.
 """
 
 from __future__ import annotations
@@ -158,12 +160,27 @@ def _process(inst: Instance, trace: list[TraceEntry], host: Gadget | None = None
     # search, and ``host`` (flipping them) every escape search. ``host`` spans
     # the whole host and is given exactly between maximum subgraphs at slack 1.
     pool = Gadget(graph, remaining.edge_set, ctx.edge_set)
+    order = sorted(remaining.edge_set)  # fallback starts: the least edge left
+    cursor = 0
+    growing = True
     while remaining.edge_set:
-        searched = find_augmenting_trail(graph, bounds, ctx, inst.target, pool)
+        searched = None
+        if growing:
+            searched = find_augmenting_trail(graph, bounds, ctx, inst.target, pool)
+            # After the first miss no later peel can create a growing trail.
+            # The pool only loses edges and no edge left changes side, so
+            # every later candidate was a trail at the miss. Each later trail
+            # is maximal (or a closed cycle that moves no degree), so its flip
+            # moves degrees only at its ends; and an end that gains room has
+            # no outside pool edge left, since the trail would have been
+            # extended along it, so no growing trail can end there.
+            growing = searched is not None
         if searched is not None:
             trail = searched
         else:
-            trail = find_maximal_alternating_trail(remaining, ctx, min(remaining.edge_set))
+            while order[cursor] not in remaining:
+                cursor += 1
+            trail = find_maximal_alternating_trail(remaining, ctx, order[cursor])
         cls = classify_trail(trail, ctx, bounds)
         before = len(out)
         if cls is TrailClass.M_AUGMENTING:

@@ -41,7 +41,7 @@ def _expect(doc: dict, key: str, kind, code: str) -> Any:
 def _int_list(doc: dict, key: str, code: str) -> list[int]:
     value = _expect(doc, key, list, code)
     for item in value:
-        if not isinstance(item, int) or isinstance(item, bool):
+        if type(item) is not int:
             raise InputError(code, f"field {key!r} must hold integers")
     return value
 
@@ -59,16 +59,17 @@ def parse_instance(text: str) -> Instance:
         raise InputError("unsupported-version", f"unknown format version {version}")
     n = _expect(doc, "vertices", int, "malformed-document")
     raw_edges = _expect(doc, "edges", list, "malformed-document")
-    pairs = []
+    # ``json.loads`` makes exact lists and ints, so ``type(...) is`` tests
+    # them as ``isinstance`` would, and rules out bools.
     for i, pair in enumerate(raw_edges):
         if (
-            not isinstance(pair, list)
+            type(pair) is not list
             or len(pair) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in pair)
+            or type(pair[0]) is not int
+            or type(pair[1]) is not int
         ):
             raise InputError("malformed-document", f"edge {i} must be a pair of vertex ids")
-        pairs.append((pair[0], pair[1]))
-    graph = Graph(n, pairs)
+    graph = Graph(n, raw_edges)
     bounds = DegreeBounds(graph, _int_list(doc, "a", "malformed-document"),
                           _int_list(doc, "b", "malformed-document"))
     source = _edge_subset(graph, _int_list(doc, "source", "malformed-document"), "source")

@@ -46,7 +46,7 @@ def find_maximal_alternating_trail(diff: Subgraph, current: Subgraph, start_edge
 
     def extension(at: int, side_of: int) -> int | None:
         want_inside = side_of not in current
-        for e in sorted(graph.incident[at]):
+        for e in graph.incident[at]:
             if e in used or e not in diff:
                 continue
             if (e in current) == want_inside:
@@ -100,8 +100,10 @@ def alternating_trail_decomposition(
 
     Returns the intermediate subgraphs and the trails, where each next
     subgraph is the previous one with its trail flipped, ending at the
-    target. Growing trails (flip adds an edge) are taken whenever one
-    exists; otherwise any maximal trail is peeled.
+    target. Peeling has two phases: growing trails (flip adds an edge) while
+    a search finds one, then the maximal trail around the least edge left
+    for every remaining trail, with no further search, since none can find
+    a growing trail after the first miss.
     """
     if source == target:
         raise ContractError("decomposition requires distinct source and target")
@@ -112,11 +114,23 @@ def alternating_trail_decomposition(
     cur = source.copy()
     remaining = symmetric_difference(source, target)
     gadget = Gadget(graph, remaining.edge_set, source.edge_set)
+    order = sorted(remaining.edge_set)  # fallback starts: the least edge left
+    cursor = 0
+    growing = True
     while remaining.edge_set:
         snapshots.append(cur.copy())
-        trail = find_augmenting_trail(graph, bounds, cur, target, gadget)
+        trail = None
+        if growing:
+            trail = find_augmenting_trail(graph, bounds, cur, target, gadget)
+            # No later peel can create a growing trail once a search misses:
+            # the pool only loses edges, none changes side, and a maximal
+            # trail's flip gives room only at an end with no outside pool
+            # edge left (see ``decider._process``).
+            growing = trail is not None
         if trail is None:
-            trail = find_maximal_alternating_trail(remaining, cur, min(remaining.edge_set))
+            while order[cursor] not in remaining:
+                cursor += 1
+            trail = find_maximal_alternating_trail(remaining, cur, order[cursor])
         trails.append(trail)
         for e in trail.edges:
             gadget.drop(e)

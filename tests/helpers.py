@@ -9,6 +9,7 @@ from functools import lru_cache
 from dcsreconf.augmenting import Gadget, find_alternating_trail
 from dcsreconf.core import DegreeBounds, Graph, Instance, Move, Subgraph
 from dcsreconf.external import _escape_trail
+from dcsreconf.oracle import enumerate_ab_constrained
 
 
 def graph(n: int, edges) -> Graph:
@@ -270,6 +271,21 @@ def loose_instance(rng, n: int, m: int) -> Instance:
         min(g.degree[v], max(s1.degrees[v], s2.degrees[v]) + 1) for v in range(g.n)
     ]
     return Instance(g, DegreeBounds(g, lower, upper), s1, s2, rng.choice([1, 2, 3]))
+
+
+def random_bounds_instance(rng) -> Instance:
+    """Two distinct feasible subgraphs of a random connected host with 3-8
+    vertices and at most 12 edges under ``random_bounds``, k in 1..3 (1 twice
+    as often). Such bounds pin vertices (lower = upper) and leave closed
+    trails to peel."""
+    while True:
+        n = rng.randint(3, 8)
+        g = random_connected_graph(rng, n, rng.randint(n - 1, 12))
+        b = random_bounds(rng, g)
+        states = enumerate_ab_constrained(g, b)
+        if len(states) >= 2:
+            s1, s2 = rng.sample(states, 2)
+            return Instance(g, b, s1, s2, rng.choice([1, 1, 2, 3]))
 
 
 def planted_tight_cycles(rng, m: int, cycles: int, locked: bool) -> Instance:

@@ -15,17 +15,21 @@ from dcsreconf.trail_type import Trail
 def edited_gadgets(draw):
     """A random graph, pool and member set, then a random run of drops and flips.
 
-    Returns the graph, the gadget after the run, and the pool and member set
-    the run leads to.
+    The graph has 3-12 vertices and 2-18 edges, the pool at least two thirds
+    of them on random sides, and the run at most m/2 + 1 steps, flips twice
+    as likely as drops, so that few pools end empty. Returns the graph, the
+    gadget after the run, and the pool and member set the run leads to.
     """
-    n = draw(st.integers(2, 12))
+    n = draw(st.integers(3, 12))
     pairs = list(itertools.combinations(range(n), 2))
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1, max_size=18))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=2, max_size=18))
     g = Graph(n, chosen)
-    pool = set(draw(st.lists(st.integers(0, g.m - 1), unique=True)))
-    member = set(draw(st.lists(st.sampled_from(sorted(pool)), unique=True))) if pool else set()
+    pool = set(range(g.m)) - set(draw(st.lists(st.integers(0, g.m - 1), max_size=g.m // 3)))
+    sides = draw(st.lists(st.booleans(), min_size=len(pool), max_size=len(pool)))
+    member = {e for e, inside in zip(sorted(pool), sides) if inside}
     gadget = Gadget(g, pool, member)
-    for op, e in draw(st.lists(st.tuples(st.sampled_from(["drop", "flip"]), st.integers(0, g.m - 1)))):
+    ops = st.tuples(st.sampled_from(["drop", "flip", "flip"]), st.integers(0, g.m - 1))
+    for op, e in draw(st.lists(ops, max_size=g.m // 2 + 1)):
         if e not in pool:
             continue
         if op == "drop":

@@ -3,6 +3,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dcsreconf import decider
 from dcsreconf.core import DegreeBounds, Graph, Instance, Move, Subgraph, verify_move_sequence
 from dcsreconf.decider import (
     FIXED_EDGE,
@@ -26,6 +27,7 @@ from helpers import (
     path_graph,
     planted_tight_cycles,
     random_bounds,
+    random_bounds_instance,
     random_connected_graph,
     relabelled,
     sub,
@@ -372,32 +374,82 @@ def test_long_upper_tight_cycle_swap_does_not_exhaust_the_stack():
     assert verify_move_sequence(i, list(d.moves))
 
 
-def test_peeled_growing_trails_match_fresh_searches():
-    """Replaying the trace, each trail is grown exactly when a fresh search
-    (on a fresh gadget) finds a growing trail, and it is that trail."""
+def peel_loop_cases():
+    """60 loose instances and 300 small random-bounds ones, whose peel loops
+    also take closed fallback trails."""
     rng = random.Random(12)
-    grown = 0
     for _ in range(60):
         m = rng.randint(8, 60)
-        instance = loose_instance(rng, max(5, m // 3), m)
-        if m_fixed_subgraph(instance.graph, instance.bounds, instance.source).edge_set:
-            continue
-        decision, trace = decide_with_trace(instance)
-        start, end = sorted((instance.source, instance.target), key=len)
-        if trace and trace[-1].trail_class == "detour-release":
-            end = flipped(end, trace[-1].trail)
-            trace = trace[:-1]
-        cur = start
-        for entry in trace:
-            fresh = find_augmenting_trail(instance.graph, instance.bounds, cur, end)
+        yield loose_instance(rng, max(5, m // 3), m)
+    for _ in range(300):
+        yield random_bounds_instance(rng)
+
+
+def record_peel_loops(monkeypatch):
+    """Wrap ``decider._process``: each run appends its instance, the trace
+    entries it added and its decision to the returned list."""
+    runs = []
+    process = decider._process
+
+    def recorded(inst, trace, host=None):
+        first = len(trace)
+        decision = process(inst, trace, host)
+        runs.append((inst, trace[first:], decision))
+        return decision
+
+    monkeypatch.setattr(decider, "_process", recorded)
+    return runs
+
+
+def test_peeled_growing_trails_match_fresh_searches(monkeypatch):
+    """Replaying each peel loop's trace on the instance it ran on (restricted,
+    oriented, or grown by a detour), each trail is grown exactly when a fresh
+    search (on a fresh gadget) finds a growing trail, and it is that trail."""
+    runs = record_peel_loops(monkeypatch)
+    for instance in peel_loop_cases():
+        decide_with_trace(instance)
+    grown = closed = 0
+    for inst, entries, decision in runs:
+        cur = inst.source
+        for entry in entries:
+            fresh = find_augmenting_trail(inst.graph, inst.bounds, cur, inst.target)
             assert (entry.rule == "grow") == (fresh is not None)
             if fresh is not None:
                 assert entry.trail == fresh
                 grown += 1
+            else:
+                closed += entry.trail.is_closed
             cur = flipped(cur, entry.trail)
         if decision.yes:
-            assert cur == end
-    assert grown > 0
+            assert cur == inst.target
+    assert grown > 0 and closed > 0
+
+
+def test_growing_trail_searches_stop_at_the_first_miss(monkeypatch):
+    """A peel loop searches for a growing trail before each grown trail and
+    once more, at most, for the miss that ends its growing phase."""
+    runs = record_peel_loops(monkeypatch)
+    searches: list[bool] = []
+    search = decider.find_augmenting_trail
+
+    def counted(*args):
+        found = search(*args)
+        searches.append(found is not None)
+        return found
+
+    monkeypatch.setattr(decider, "find_augmenting_trail", counted)
+    several_fallbacks = 0
+    for instance in peel_loop_cases():
+        searches.clear()
+        runs.clear()
+        decide_with_trace(instance)
+        grown = sum(entry.rule == "grow" for _, entries, _ in runs for entry in entries)
+        assert searches.count(True) == grown
+        assert searches.count(False) <= len(runs)
+        several_fallbacks += any(
+            sum(entry.rule != "grow" for entry in entries) >= 2 for _, entries, _ in runs
+        )
+    assert several_fallbacks > 0
 
 
 def _pinned_loose_instance(rng, m: int, share: float) -> Instance:

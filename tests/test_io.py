@@ -124,3 +124,38 @@ def test_decide_output_parses_back():
     decision = decide(inst)
     parsed = parse_decision(serialize_decision(decision))
     assert parsed.yes == decision.yes
+
+
+@pytest.mark.parametrize(
+    "bad_pair",
+    [[0, True], [False, 1], [0.0, 1], [0, 1.5], [0, 1, 2], [0], []]
+    + ["01", {"u": 0, "v": 1}, 7, None],
+)
+def test_malformed_edge_pairs_are_rejected(bad_pair):
+    """Every edge must be a two-element list of ints (bools are not ints
+    here), and the shape of every pair is checked before any endpoint: edge
+    1's out-of-range endpoint is not reported."""
+    text = doc(vertices=3, edges=[[0, 1], [0, 9], bad_pair], a=[0, 0, 0], b=[1, 1, 0])
+    with pytest.raises(InputError) as e:
+        parse_instance(text)
+    assert e.value.code == "malformed-document"
+    assert str(e.value) == "malformed-document: edge 2 must be a pair of vertex ids"
+
+
+def test_edge_errors_name_the_first_bad_edge():
+    base = dict(vertices=3, a=[0, 0, 0], b=[0, 0, 0], source=[], target=[])
+    cases = [
+        ([[0, 1], [2, 3], [1, 1]], "edge-endpoint", "edge 1 endpoint out of range: (2, 3)"),
+        ([[0, 1], [-1, 2]], "edge-endpoint", "edge 1 endpoint out of range: (-1, 2)"),
+        ([[0, 1], [2, 2], [1, 0]], "edge-selfloop", "edge 1 is a self-loop at 2"),
+        ([[2, 1], [0, 2], [1, 2]], "edge-parallel", "edge 2 duplicates (1, 2)"),
+    ]
+    for edges, code, message in cases:
+        with pytest.raises(InputError) as e:
+            parse_instance(doc(edges=edges, **base))
+        assert (e.value.code, str(e.value)) == (code, f"{code}: {message}")
+    with pytest.raises(InputError) as e:
+        parse_instance(doc(a=[0, False]))
+    assert (e.value.code, str(e.value)) == (
+        "malformed-document", "malformed-document: field 'a' must hold integers"
+    )

@@ -17,7 +17,16 @@ from dcsreconf.trails import (
     is_alternatingly_ab_tight,
 )
 
-from helpers import bounds, cycle_graph, graph, loose_instance, path_graph, random_bounds, sub
+from helpers import (
+    bounds,
+    cycle_graph,
+    graph,
+    loose_instance,
+    path_graph,
+    random_bounds,
+    random_bounds_instance,
+    sub,
+)
 
 
 def brute_has_trail(g, pool, member, sources, add_sinks, remove_sinks):
@@ -192,12 +201,17 @@ def test_decomposition_cycle_swap_is_single_closed_trail():
 
 def test_decomposition_takes_the_trails_of_fresh_searches():
     """The peel loop keeps one gadget (and its outside vertices) in step with
-    its subgraph; every trail it takes is the one a fresh search would take."""
+    its subgraph; every trail it takes is the one a fresh search would take,
+    on loose instances and on small random-bounds ones, which also peel
+    closed fallback trails and fallback trails through pinned vertices."""
     rng = random.Random(11)
-    grown = 0
+    cases = []
     for _ in range(60):
         m = rng.randint(8, 60)
-        inst = loose_instance(rng, max(5, m // 3), m)
+        cases.append(loose_instance(rng, max(5, m // 3), m))
+    cases += [random_bounds_instance(rng) for _ in range(300)]
+    grown = closed = pinned = 0
+    for inst in cases:
         if inst.source == inst.target:
             continue
         snaps, trails = alternating_trail_decomposition(
@@ -208,10 +222,12 @@ def test_decomposition_takes_the_trails_of_fresh_searches():
             if fresh is None:
                 diff = symmetric_difference(snap, inst.target)
                 fresh = find_maximal_alternating_trail(diff, snap, min(diff.edge_set))
+                closed += fresh.is_closed
+                pinned += any(inst.bounds.lower[v] == inst.bounds.upper[v] for v in fresh.vertices)
             else:
                 grown += 1
             assert trail == fresh
-    assert grown > 0
+    assert grown > 0 and closed > 0 and pinned > 0
 
 
 def figure_like_two_loop_host():

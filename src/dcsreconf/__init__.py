@@ -15,14 +15,13 @@ from .core import (
     verify_move_sequence,
     vertex_tightness,
 )
-from .decider import Decision, Witness, decide, decide_with_trace
+from .decider import Decision, Witness, alternating_trail_decomposition, decide, decide_with_trace
 from .instance_io import parse_instance, serialize_decision, serialize_instance
 from .oracle import enumerate_ab_constrained, oracle_decide, oracle_min_k
 from .solver import augment, is_maximum, maximum_dcs
 from .trails import (
     Trail,
     TrailClass,
-    alternating_trail_decomposition,
     classify_trail,
     find_augmenting_trail,
     find_maximal_alternating_trail,

@@ -12,13 +12,12 @@ import sys
 from pathlib import Path
 
 from .core import Instance, verify_move_sequence
-from .decider import decide, decide_with_trace
+from .decider import alternating_trail_decomposition, decide, decide_with_trace
 from .errors import InputError
 from .instance_io import moves_from_text, parse_instance, serialize_decision
 from .obstructions import m_fixed_subgraph
 from .oracle import oracle_decide
 from .solver import maximum_dcs
-from .trails import alternating_trail_decomposition, classify_trail
 
 
 def _load(path: str) -> Instance:
@@ -85,21 +84,13 @@ def _cmd_fixed(args) -> int:
 
 def _cmd_decompose(args) -> int:
     inst = _load(args.instance)
-    if inst.source == inst.target:
-        print(json.dumps({"trails": []}))
-        return 0
-    snapshots, trails = alternating_trail_decomposition(
-        inst.graph, inst.bounds, inst.source, inst.target
-    )
-    entries = []
-    for state, trail in zip(snapshots, trails):
-        entries.append(
-            {
-                "edges": list(trail.edges),
-                "vertices": list(trail.vertices),
-                "class": classify_trail(trail, state, inst.bounds).value,
-            }
-        )
+    peeled = []
+    if inst.source != inst.target:
+        peeled = alternating_trail_decomposition(inst.graph, inst.bounds, inst.source, inst.target)
+    entries = [
+        {"edges": list(trail.edges), "vertices": list(trail.vertices), "class": cls.value}
+        for trail, cls in peeled
+    ]
     print(json.dumps({"trails": entries}))
     return 0
 

@@ -3,15 +3,15 @@
 Pipeline: detect fixed-edge conflicts, switch the fixed edges off (they keep
 their indices, so moves, witnesses and trace entries need no mapping back),
 orient so the source is no larger than the target, then peel alternating
-trails and dispatch each by its class. Peeling has two phases: growing trails
-while a search finds one, then, after the first miss, maximal trails from the
-least edge left, with no further search (no later peel can make a growing
-trail). At slack 1 with equal sizes the procedure either works between
-maximum subgraphs (where locked upper-tight cycles are conclusive) or routes
-through a one-edge augmentation of the target. Between maximum subgraphs one
-whole-host gadget, built once, answers the maximality test and then every
-escape search, flipped with each peeled trail. Every Yes answer is replayed
-through the verifier before being returned.
+trails and dispatch each by its class. ``peel`` is the one peel loop, and
+``alternating_trail_decomposition`` lists what it takes: growing trails while
+a search finds one, then, after the first miss, maximal trails from the least
+edge left, with no further search. At slack 1 with equal sizes the procedure
+either works between maximum subgraphs (where locked upper-tight cycles are
+conclusive) or routes through a one-edge augmentation of the target. Between
+maximum subgraphs one whole-host gadget, built once, answers the maximality
+test and then every escape search, flipped with each peeled trail. Every Yes
+answer is replayed through the verifier before being returned.
 """
 
 from __future__ import annotations
@@ -19,8 +19,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .augmenting import Gadget
-from .core import Instance, Move, Subgraph, reversed_moves, verify_move_sequence
-from .errors import LockedCycleError, SynthesisError
+from .core import (
+    DegreeBounds,
+    Graph,
+    Instance,
+    Move,
+    Subgraph,
+    is_ab_constrained,
+    reversed_moves,
+    verify_move_sequence,
+)
+from .errors import ContractError, LockedCycleError, SynthesisError
 from .external import _alt_cycle, _btight_cycle, exists_unlocking_subgraph
 from .internal import _closed_even, _elementary, _odd_grow, _odd_shrink
 from .obstructions import fixed_edge_witness, m_fixed_subgraph, restrict_instance
@@ -150,23 +159,27 @@ def _solve_equal_nonmax(inst: Instance, trace: list[TraceEntry]) -> Decision:
     return _decide_core(restrict_instance(inst, frozen), trace)
 
 
-def _process(inst: Instance, trace: list[TraceEntry], host: Gadget | None = None) -> Decision:
-    graph, bounds = inst.graph, inst.bounds
-    ctx = inst.source.copy()
-    out: list[Move] = []
-    remaining = Subgraph(graph, inst.source.edge_set ^ inst.target.edge_set)
-    # Every rule's net effect is exactly its trail's flip, so one gadget over
-    # the difference (dropping peeled edges) serves every growing-trail
-    # search, and ``host`` (flipping them) every escape search. ``host`` spans
-    # the whole host and is given exactly between maximum subgraphs at slack 1.
-    pool = Gadget(graph, remaining.edge_set, ctx.edge_set)
+def peel(graph: Graph, bounds: DegreeBounds, current: Subgraph, target: Subgraph):
+    """Partition current^target into alternating trails, preferring growth.
+
+    Yields ``(trail, TrailClass)`` pairs, each classified around ``current``;
+    the caller flips each trail into ``current`` before asking for the next.
+    Peeling has two phases: growing trails (flip adds an edge) while a search
+    finds one, then the maximal trail around the least edge left for every
+    remaining trail, with no further search.
+    """
+    remaining = Subgraph(graph, current.edge_set ^ target.edge_set)
+    # The caller flips exactly each trail, which then leaves the pool, so no
+    # edge left in the pool changes side and one gadget over the difference
+    # serves every search.
+    pool = Gadget(graph, remaining.edge_set, current.edge_set)
     order = sorted(remaining.edge_set)  # fallback starts: the least edge left
     cursor = 0
     growing = True
     while remaining.edge_set:
-        searched = None
+        trail = None
         if growing:
-            searched = find_augmenting_trail(graph, bounds, ctx, inst.target, pool)
+            trail = find_augmenting_trail(graph, bounds, current, target, pool)
             # After the first miss no later peel can create a growing trail.
             # The pool only loses edges and no edge left changes side, so
             # every later candidate was a trail at the miss. Each later trail
@@ -174,18 +187,54 @@ def _process(inst: Instance, trace: list[TraceEntry], host: Gadget | None = None
             # moves degrees only at its ends; and an end that gains room has
             # no outside pool edge left, since the trail would have been
             # extended along it, so no growing trail can end there.
-            growing = searched is not None
-        if searched is not None:
-            trail = searched
-        else:
+            growing = trail is not None
+        if trail is None:
             while order[cursor] not in remaining:
                 cursor += 1
-            trail = find_maximal_alternating_trail(remaining, ctx, order[cursor])
-        cls = classify_trail(trail, ctx, bounds)
+            trail = find_maximal_alternating_trail(remaining, current, order[cursor])
+        cls = classify_trail(trail, current, bounds)
+        if cls is TrailClass.M_AUGMENTING and not growing:
+            raise SynthesisError("fallback trail classified as growing: search is incomplete")
+        yield trail, cls
+        for e in trail.edges:
+            remaining.remove(e)
+            pool.drop(e)
+
+
+def alternating_trail_decomposition(
+    graph: Graph, bounds: DegreeBounds, source: Subgraph, target: Subgraph
+) -> list[tuple[Trail, TrailClass]]:
+    """The trails ``peel`` takes from source^target, each with its class.
+
+    Each class is the trail's class in the subgraph it was peeled from: the
+    source with every earlier trail flipped.
+    """
+    if source == target:
+        raise ContractError("decomposition requires distinct source and target")
+    if not is_ab_constrained(source, bounds):
+        raise ContractError("decomposition requires a feasible source")
+    cur = source.copy()
+    peeled = []
+    for trail, cls in peel(graph, bounds, cur, target):
+        peeled.append((trail, cls))
+        cur.flip(trail.edges)
+        # a flip moves the degree only at the trail's vertices
+        if not all(bounds.lower[v] <= cur.degrees[v] <= bounds.upper[v] for v in trail.vertices):
+            raise SynthesisError("decomposition produced an infeasible intermediate subgraph")
+    return peeled
+
+
+def _process(inst: Instance, trace: list[TraceEntry], host: Gadget | None = None) -> Decision:
+    graph, bounds = inst.graph, inst.bounds
+    ctx = inst.source.copy()
+    out: list[Move] = []
+    # Every rule's net effect is exactly its trail's flip, so ``ctx`` is in
+    # step with ``peel``, and ``host`` (flipping each trail) serves every
+    # escape search. ``host`` spans the whole host and is given exactly
+    # between maximum subgraphs at slack 1.
+    for trail, cls in peel(graph, bounds, ctx, inst.target):
         before = len(out)
         if cls is TrailClass.M_AUGMENTING:
-            if searched is None:
-                raise SynthesisError("fallback trail classified as growing: search is incomplete")
             _odd_grow(trail, ctx, bounds, out)
             rule = "grow"
         elif cls is TrailClass.N_AUGMENTING:
@@ -225,10 +274,8 @@ def _process(inst: Instance, trace: list[TraceEntry], host: Gadget | None = None
             _alt_cycle(trail, ctx, bridge, graph, bounds, out)
             rule = "tight-cycle-unlock"
         trace.append(TraceEntry(cls.value, rule, len(out) - before, trail))
-        for e in trail.edges:
-            remaining.remove(e)
-            pool.drop(e)
-            if host is not None:
+        if host is not None:
+            for e in trail.edges:
                 host.flip(e)
     if ctx != inst.target:
         raise SynthesisError("trail processing did not arrive at the target")

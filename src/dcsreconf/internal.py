@@ -5,18 +5,19 @@ limited by the recursion limit): an even alternating trail is cut into
 smaller even pieces whose reconfiguration order is chosen so that every
 piece's entry conditions hold in the subgraph produced by the earlier pieces.
 The base case is a two-edge trail handled by one paired remove/add (ordered
-by the middle vertex's upper-bound slack). Emitted sequences touch only trail
-edges, keep every intermediate state feasible, and never let the edge count
-drop more than one below the ambient size, except for the fully upper-tight
-cycles which need a dip of two.
-
-The workers mutate the passed subgraph in place and append to the move
-list.
+by the middle vertex's upper-bound slack). An odd trail, growing or
+shrinking, is flipped by one routine (``_odd``) that hands even parts to the
+splitter until one edge is left. Emitted sequences touch only trail edges,
+keep every intermediate state feasible, and never let the edge count drop
+more than one below the ambient size, except for the fully upper-tight
+cycles which need a dip of two. The workers mutate the passed subgraph in
+place and append to the move list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
 from .core import ADD, REMOVE, DegreeBounds, Move, Subgraph
 from .errors import (
@@ -27,10 +28,6 @@ from .errors import (
 )
 from .trail_type import Trail, alternates, inside_first, reverse_keep_first_edge
 from .trails import is_alternatingly_ab_tight
-
-GROW = "grow"  # odd trail whose flip adds one edge (danglers outside)
-SHRINK = "shrink"  # odd trail whose flip removes one edge (danglers inside)
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -88,10 +85,11 @@ def _emit(ctx: Subgraph, bounds: DegreeBounds, out: list[Move], kind: str, edge:
 
 
 def _first_valid_order(
-    parts: list[Trail], ctx: Subgraph, bounds: DegreeBounds, orders: list[tuple[int, ...]]
+    parts: list[Trail], ctx: Subgraph, bounds: DegreeBounds
 ) -> tuple[Trail, ...]:
-    """First ordering whose pieces all pass their entry conditions in turn."""
-    for order in orders:
+    """First ordering whose pieces all pass their entry conditions in turn;
+    orderings go in lexicographic order, so the first piece leads if it can."""
+    for order in permutations(range(len(parts))):
         done: list[Trail] = []
         ok = True
         for idx in order:
@@ -131,11 +129,6 @@ def _elementary(trail: Trail, ctx: Subgraph, bounds: DegreeBounds, out: list[Mov
         stack.extend(reversed(parts))
 
 
-# Orderings below are index tuples into [q, r, s]: the freshly cut middle
-# piece first, then the prefix, then the suffix, with all fallbacks.
-_THREE_PIECE_ORDERS = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
-
-
 def _open_split(t: Trail, ctx: Subgraph, bounds: DegreeBounds) -> tuple[Trail, ...]:
     """An open trail's pieces in an order whose entry conditions all hold."""
     tt = len(t)
@@ -147,20 +140,12 @@ def _open_split(t: Trail, ctx: Subgraph, bounds: DegreeBounds) -> tuple[Trail, .
             break
     if pivot is None:
         raise SynthesisError("open trail admits no two-edge pivot despite valid conditions")
-    q = t.segment(pivot, pivot + 2)
-    parts = [q]
-    order_pool: list[tuple[int, ...]] = []
+    parts = [t.segment(pivot, pivot + 2)]  # the middle piece, then prefix and suffix
     if pivot > 0:
         parts.append(t.segment(0, pivot))
     if pivot + 2 < tt:
         parts.append(t.segment(pivot + 2, tt))
-    if len(parts) == 1:
-        order_pool = [(0,)]
-    elif len(parts) == 2:
-        order_pool = [(0, 1), (1, 0)]
-    else:
-        order_pool = _THREE_PIECE_ORDERS
-    return _first_valid_order(parts, ctx, bounds, order_pool)
+    return _first_valid_order(parts, ctx, bounds)
 
 
 def _closed_split(t: Trail, ctx: Subgraph, bounds: DegreeBounds) -> tuple[Trail, Trail]:
@@ -240,96 +225,77 @@ def _even_position(t: Trail, predicate) -> int | None:
     return None
 
 
-def _validate_odd(trail: Trail, ctx: Subgraph, bounds: DegreeBounds, mode: str) -> None:
+def _validate_odd(trail: Trail, ctx: Subgraph, bounds: DegreeBounds, grow: bool) -> None:
     if len(trail) % 2 != 1:
         raise ContractError("odd-trail synthesis requires an odd trail")
     if not alternates(trail, ctx):
         raise ContractError("trail does not alternate around the current subgraph")
+    # an odd alternating trail starts and ends on the same side
     inside = trail.edges[0] in ctx
-    if inside != (trail.edges[-1] in ctx):
-        raise ContractError("odd trail with mismatched dangling sides")
-    if mode == GROW and inside:
+    if grow and inside:
         raise ContractError("growing trail must dangle outside the current subgraph")
-    if mode == SHRINK and not inside:
+    if not grow and not inside:
         raise ContractError("shrinking trail must dangle inside the current subgraph")
     for v in trail.vertices:
         if bounds.lower[v] == bounds.upper[v]:
             raise NotInternallyReconfigurableError("pinned-vertex", v)
-    head, tail = trail.vertices[0], trail.vertices[-1]
-    if mode == GROW:
-        if trail.is_closed:
-            if ctx.degrees[head] + 2 > bounds.upper[head]:
-                raise NotInternallyReconfigurableError("closed-end-lacks-room", head)
-        else:
-            for v in (head, tail):
-                if ctx.degrees[v] >= bounds.upper[v]:
-                    raise NotInternallyReconfigurableError("end-at-upper-bound", v)
+    # each open end moves one step the flip's way; a closed trail's end two
+    if trail.is_closed:
+        ends, need = (trail.vertices[0],), 2
+        condition = "closed-end-lacks-room" if grow else "closed-end-lacks-slack"
     else:
-        if trail.is_closed:
-            if ctx.degrees[head] - 2 < bounds.lower[head]:
-                raise NotInternallyReconfigurableError("closed-end-lacks-slack", head)
+        ends, need = (trail.vertices[0], trail.vertices[-1]), 1
+        condition = "end-at-upper-bound" if grow else "end-at-lower-bound"
+    for v in ends:
+        room = bounds.upper[v] - ctx.degrees[v] if grow else ctx.degrees[v] - bounds.lower[v]
+        if room < need:
+            raise NotInternallyReconfigurableError(condition, v)
+
+
+def _odd(trail: Trail, ctx: Subgraph, bounds: DegreeBounds, out: list[Move], grow: bool) -> None:
+    """Flip an odd trail whose danglers lie outside ``ctx`` when ``grow`` (the
+    net effect adds one edge) and inside otherwise (it removes one)."""
+    end_move = ADD if grow else REMOVE
+    while True:
+        _validate_odd(trail, ctx, bounds, grow)
+        tt = len(trail)
+        if tt == 1:
+            _emit(ctx, bounds, out, end_move, trail.edges[0])
+            return
+        pivot = None
+        for i in range(1, tt):
+            v = trail.vertices[i]
+            d = ctx.degrees[v]
+            if (d > bounds.lower[v]) if grow else (d < bounds.upper[v]):
+                pivot = i
+                break
+        if pivot is None:
+            # every interior vertex sits at its lower bound (grow) or its
+            # upper bound (shrink): lead with the first edge
+            _emit(ctx, bounds, out, end_move, trail.edges[0])
+            _elementary(trail.segment(1, tt), ctx, bounds, out)
+            return
+        if pivot % 2 == 0:
+            # ``_elementary`` orients the even part itself (``inside_first``)
+            even_part = trail.segment(0, pivot)
+            rest = trail.segment(pivot, tt)
+            if not grow:
+                rest = rest.reversed()
         else:
-            for v in (head, tail):
-                if ctx.degrees[v] <= bounds.lower[v]:
-                    raise NotInternallyReconfigurableError("end-at-lower-bound", v)
+            even_part = trail.segment(pivot, tt)
+            rest = trail.segment(0, pivot)
+        _elementary(even_part, ctx, bounds, out)
+        trail = rest
 
 
 def _odd_grow(trail: Trail, ctx: Subgraph, bounds: DegreeBounds, out: list[Move]) -> None:
     """Flip an odd trail with outside danglers; net effect adds one edge."""
-    while True:
-        _validate_odd(trail, ctx, bounds, GROW)
-        tt = len(trail)
-        if tt == 1:
-            _emit(ctx, bounds, out, ADD, trail.edges[0])
-            return
-        pivot = None
-        for i in range(1, tt):
-            v = trail.vertices[i]
-            if ctx.degrees[v] > bounds.lower[v]:
-                pivot = i
-                break
-        if pivot is None:
-            # every interior vertex sits at its lower bound: lead with the first edge
-            _emit(ctx, bounds, out, ADD, trail.edges[0])
-            _elementary(trail.segment(1, tt), ctx, bounds, out)
-            return
-        if pivot % 2 == 0:
-            even_part = trail.segment(0, pivot).reversed()
-            rest = trail.segment(pivot, tt)
-        else:
-            even_part = trail.segment(pivot, tt)
-            rest = trail.segment(0, pivot)
-        _elementary(even_part, ctx, bounds, out)
-        trail = rest
+    _odd(trail, ctx, bounds, out, grow=True)
 
 
 def _odd_shrink(trail: Trail, ctx: Subgraph, bounds: DegreeBounds, out: list[Move]) -> None:
     """Flip an odd trail with inside danglers; net effect removes one edge."""
-    while True:
-        _validate_odd(trail, ctx, bounds, SHRINK)
-        tt = len(trail)
-        if tt == 1:
-            _emit(ctx, bounds, out, REMOVE, trail.edges[0])
-            return
-        pivot = None
-        for i in range(1, tt):
-            v = trail.vertices[i]
-            if ctx.degrees[v] < bounds.upper[v]:
-                pivot = i
-                break
-        if pivot is None:
-            # every interior vertex sits at its upper bound: drop the first edge
-            _emit(ctx, bounds, out, REMOVE, trail.edges[0])
-            _elementary(trail.segment(1, tt), ctx, bounds, out)
-            return
-        if pivot % 2 == 0:
-            even_part = trail.segment(0, pivot)
-            rest = trail.segment(pivot, tt).reversed()
-        else:
-            even_part = trail.segment(pivot, tt)
-            rest = trail.segment(0, pivot)
-        _elementary(even_part, ctx, bounds, out)
-        trail = rest
+    _odd(trail, ctx, bounds, out, grow=False)
 
 
 def _closed_even(

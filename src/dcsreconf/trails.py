@@ -1,12 +1,18 @@
-"""Alternating-trail construction, classification, and decomposition."""
+"""Alternating-trail search and classification.
+
+Growing trails come from a gadget search, maximal trails from a greedy walk
+around one edge; ``classify_trail`` picks the single case a peeled trail
+falls under. The loop that peels current^target into trails is
+``decider.peel``.
+"""
 
 from __future__ import annotations
 
 from enum import Enum
 
 from .augmenting import Gadget, find_alternating_trail, growing_trail
-from .core import DegreeBounds, Graph, Subgraph, is_ab_constrained, symmetric_difference
-from .errors import ContractError, SynthesisError
+from .core import DegreeBounds, Graph, Subgraph
+from .errors import ContractError
 from .trail_type import Trail, alternates
 
 __all__ = [
@@ -15,7 +21,6 @@ __all__ = [
     "find_alternating_trail",
     "find_maximal_alternating_trail",
     "find_augmenting_trail",
-    "alternating_trail_decomposition",
     "classify_trail",
     "is_alternatingly_ab_tight",
 ]
@@ -40,8 +45,6 @@ def find_maximal_alternating_trail(diff: Subgraph, current: Subgraph, start_edge
         raise ContractError(f"start edge {start_edge} not in the symmetric difference")
     graph = diff.graph
     u, v = graph.edges[start_edge]
-    vertices = [u, v]
-    edges = [start_edge]
     used = {start_edge}
 
     def extension(at: int, side_of: int) -> int | None:
@@ -53,21 +56,21 @@ def find_maximal_alternating_trail(diff: Subgraph, current: Subgraph, start_edge
                 return e
         return None
 
-    while True:
-        e = extension(vertices[-1], edges[-1])
-        if e is not None:
+    def extend(vertices: list[int], edges: list[int]) -> None:
+        while (e := extension(vertices[-1], edges[-1])) is not None:
             vertices.append(graph.other_end(e, vertices[-1]))
             edges.append(e)
             used.add(e)
-            continue
-        e = extension(vertices[0], edges[0])
-        if e is not None:
-            vertices.insert(0, graph.other_end(e, vertices[0]))
-            edges.insert(0, e)
-            used.add(e)
-            continue
-        break
-    trail = Trail(tuple(vertices), tuple(edges))
+
+    # The back grows first; a front step only uses up edges, so a stuck back
+    # stays stuck. The front grows in its own lists, reversed once at the end.
+    back_vertices, back_edges = [u, v], [start_edge]
+    extend(back_vertices, back_edges)
+    front_vertices, front_edges = [v, u], [start_edge]
+    extend(front_vertices, front_edges)
+    trail = Trail(
+        tuple(front_vertices[:1:-1] + back_vertices), tuple(front_edges[:0:-1] + back_edges)
+    )
     if trail.edges[0] > trail.edges[-1]:
         trail = trail.reversed()
     return trail
@@ -91,55 +94,6 @@ def find_augmenting_trail(
     if gadget is None:
         gadget = Gadget(graph, current.edge_set ^ target.edge_set, current.edge_set)
     return growing_trail(gadget, bounds, current)
-
-
-def alternating_trail_decomposition(
-    graph: Graph, bounds: DegreeBounds, source: Subgraph, target: Subgraph
-) -> tuple[list[Subgraph], list[Trail]]:
-    """Partition source^target into alternating trails, preferring growth.
-
-    Returns the intermediate subgraphs and the trails, where each next
-    subgraph is the previous one with its trail flipped, ending at the
-    target. Peeling has two phases: growing trails (flip adds an edge) while
-    a search finds one, then the maximal trail around the least edge left
-    for every remaining trail, with no further search, since none can find
-    a growing trail after the first miss.
-    """
-    if source == target:
-        raise ContractError("decomposition requires distinct source and target")
-    if not is_ab_constrained(source, bounds):
-        raise ContractError("decomposition requires a feasible source")
-    snapshots: list[Subgraph] = []
-    trails: list[Trail] = []
-    cur = source.copy()
-    remaining = symmetric_difference(source, target)
-    gadget = Gadget(graph, remaining.edge_set, source.edge_set)
-    order = sorted(remaining.edge_set)  # fallback starts: the least edge left
-    cursor = 0
-    growing = True
-    while remaining.edge_set:
-        snapshots.append(cur.copy())
-        trail = None
-        if growing:
-            trail = find_augmenting_trail(graph, bounds, cur, target, gadget)
-            # No later peel can create a growing trail once a search misses:
-            # the pool only loses edges, none changes side, and a maximal
-            # trail's flip gives room only at an end with no outside pool
-            # edge left (see ``decider._process``).
-            growing = trail is not None
-        if trail is None:
-            while order[cursor] not in remaining:
-                cursor += 1
-            trail = find_maximal_alternating_trail(remaining, cur, order[cursor])
-        trails.append(trail)
-        for e in trail.edges:
-            gadget.drop(e)
-            remaining.remove(e)
-        cur.flip(trail.edges)
-        # a flip moves the degree only at the trail's vertices
-        if not all(bounds.lower[v] <= cur.degrees[v] <= bounds.upper[v] for v in trail.vertices):
-            raise SynthesisError("decomposition produced an infeasible intermediate subgraph")
-    return snapshots, trails
 
 
 def is_alternatingly_ab_tight(cycle: Trail, current: Subgraph, bounds: DegreeBounds) -> bool:
@@ -174,12 +128,8 @@ def classify_trail(trail: Trail, current: Subgraph, bounds: DegreeBounds) -> Tra
         raise ContractError("cannot classify an empty trail")
     if not alternates(trail, current):
         raise ContractError("trail does not alternate around the current subgraph")
-    if len(trail) % 2 == 1:
-        first_inside = trail.edges[0] in current
-        last_inside = trail.edges[-1] in current
-        if first_inside != last_inside:
-            raise ContractError("odd trail with mismatched dangling sides")
-        return TrailClass.N_AUGMENTING if first_inside else TrailClass.M_AUGMENTING
+    if len(trail) % 2 == 1:  # alternating, so both ends lie on one side
+        return TrailClass.N_AUGMENTING if trail.edges[0] in current else TrailClass.M_AUGMENTING
     if trail.is_closed:
         if is_alternatingly_ab_tight(trail, current, bounds):
             return TrailClass.ALT_AB_TIGHT_CYCLE

@@ -1,10 +1,22 @@
 import json
+import random
 
 from dcsreconf.cli import main
+from dcsreconf.decider import alternating_trail_decomposition
 from dcsreconf.instance_io import serialize_instance
 from dcsreconf.core import DegreeBounds, Instance, Subgraph
+from dcsreconf.trail_type import Trail
+from dcsreconf.trails import classify_trail
 
-from helpers import bounds, cycle_graph, inst, path_graph
+from helpers import (
+    bounds,
+    cycle_graph,
+    graph,
+    inst,
+    loose_instance,
+    path_graph,
+    random_bounds_instance,
+)
 
 
 def write_instance(tmp_path, instance, name="instance.json"):
@@ -123,6 +135,48 @@ def test_decompose_equal_endpoints(tmp_path, capsys):
     i = inst(g, bounds(g, 0, 1), [0], [0], 1)
     assert main(["decompose", write_instance(tmp_path, i)]) == 0
     assert json.loads(capsys.readouterr().out)["trails"] == []
+
+
+def _peel_state_cases():
+    """A hand-made case first: the growing pendant edge (0, 4) fills vertex
+    0, which makes the four-cycle upper-tight only after it is flipped. Then
+    random-bounds and loose instances with three or more trails of more than
+    one class (a class in the source differs from the peel state's in about
+    1 of 1,000 random-bounds instances, and never in loose ones)."""
+    g = graph(7, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (5, 6)])
+    yield inst(g, DegreeBounds(g, [0] * 7, [2, 1, 1, 1, 1, 1, 1]), [0, 2, 5], [1, 3, 4], 1)
+    rng = random.Random(17)
+    for make in (
+        lambda: random_bounds_instance(rng),
+        lambda: loose_instance(rng, 12, rng.randint(30, 60)),
+    ):
+        found = 0
+        while found < 10:
+            i = make()
+            if i.source == i.target:
+                continue
+            peeled = alternating_trail_decomposition(i.graph, i.bounds, i.source, i.target)
+            if len(peeled) >= 3 and len({cls for _, cls in peeled}) >= 2:
+                found += 1
+                yield i
+
+
+def test_decompose_classes_come_from_the_peel_state(tmp_path, capsys):
+    """Each printed class is the trail's class in the state it was peeled
+    from, the source with every earlier trail flipped, and not in the source."""
+    not_source_class = 0
+    for i in _peel_state_cases():
+        assert main(["decompose", write_instance(tmp_path, i)]) == 0
+        entries = json.loads(capsys.readouterr().out)["trails"]
+        assert len(entries) >= 3 and len({entry["class"] for entry in entries}) >= 2
+        state = i.source.copy()
+        for entry in entries:
+            trail = Trail(tuple(entry["vertices"]), tuple(entry["edges"]))
+            assert entry["class"] == classify_trail(trail, state.copy(), i.bounds).value
+            not_source_class += entry["class"] != classify_trail(trail, i.source, i.bounds).value
+            state.flip(trail.edges)
+        assert state == i.target
+    assert not_source_class > 0
 
 
 def test_decide_long_path_exits_zero(tmp_path, capsys):

@@ -13,6 +13,7 @@ from dcsreconf.core import (
     is_ab_constrained,
     verify_move_sequence,
 )
+from dcsreconf.decider import peel
 from dcsreconf.errors import (
     ContractError,
     NeedsK2Error,
@@ -27,7 +28,7 @@ from dcsreconf.internal import (
 )
 from dcsreconf.oracle import enumerate_ab_constrained
 from dcsreconf.trail_type import Trail
-from dcsreconf.trails import alternating_trail_decomposition, classify_trail, TrailClass
+from dcsreconf.trails import classify_trail, TrailClass
 
 from helpers import bounds, cycle_graph, flipped, graph, on_copy, path_graph, random_bounds, sub
 
@@ -156,6 +157,68 @@ def test_odd_grow_rejects_capped_endpoint():
         on_copy(_odd_grow, t, sub(g, [1]), b)
 
 
+def _odd_rejections():
+    """(worker, graph, bounds, current edges, trail, error, condition, vertex);
+    a ContractError has no condition and vertex, so its message stands in."""
+    p = path_graph(4)
+    pinned = DegreeBounds(p, [0, 0, 1, 0], [1, 1, 1, 1])
+    three = Trail((0, 1, 2, 3), (0, 1, 2))
+    cherry = graph(3, [(0, 1), (1, 2)])
+    one = Trail((0, 1), (0,))
+    tri = cycle_graph(3)
+    closed = Trail((0, 1, 2, 0), (0, 1, 2))
+    contract, stuck = ContractError, NotInternallyReconfigurableError
+    not_alternating = "trail does not alternate around the current subgraph"
+    return {
+        "grow-wrong-side": (
+            _odd_grow, cherry, bounds(cherry, 0, 1), [0], one, contract,
+            "growing trail must dangle outside the current subgraph", None,
+        ),
+        "shrink-wrong-side": (
+            _odd_shrink, cherry, bounds(cherry, 0, 1), [], one, contract,
+            "shrinking trail must dangle inside the current subgraph", None,
+        ),
+        # an odd trail whose danglers differ cannot alternate
+        "grow-mismatched-danglers": (
+            _odd_grow, p, bounds(p, 0, 2), [1, 2], three, contract, not_alternating, None,
+        ),
+        "shrink-mismatched-danglers": (
+            _odd_shrink, p, bounds(p, 0, 2), [0, 1], three, contract, not_alternating, None,
+        ),
+        "grow-pinned-vertex": (_odd_grow, p, pinned, [1], three, stuck, "pinned-vertex", 2),
+        "shrink-pinned-vertex": (_odd_shrink, p, pinned, [0, 2], three, stuck, "pinned-vertex", 2),
+        "grow-end-at-upper-bound": (
+            _odd_grow, cherry, bounds(cherry, 0, 1), [1], one, stuck, "end-at-upper-bound", 1,
+        ),
+        "shrink-end-at-lower-bound": (
+            _odd_shrink, cherry, DegreeBounds(cherry, [0, 1, 0], [1, 2, 1]), [0], one, stuck,
+            "end-at-lower-bound", 1,
+        ),
+        "grow-closed-end-lacks-room": (
+            _odd_grow, tri, DegreeBounds(tri, [0, 0, 0], [1, 2, 2]), [1], closed, stuck,
+            "closed-end-lacks-room", 0,
+        ),
+        "shrink-closed-end-lacks-slack": (
+            _odd_shrink, tri, DegreeBounds(tri, [1, 0, 0], [2, 2, 2]), [0, 2], closed, stuck,
+            "closed-end-lacks-slack", 0,
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_odd_rejections()))
+def test_odd_workers_reject_with_exact_condition_and_vertex(case):
+    worker, g, b, edges, trail, error, condition, vertex = _odd_rejections()[case]
+    out: list[Move] = []
+    with pytest.raises(error) as info:
+        worker(trail, sub(g, edges), b, out)
+    assert type(info.value) is error
+    if error is NotInternallyReconfigurableError:
+        assert (info.value.condition, info.value.vertex) == (condition, vertex)
+    else:
+        assert str(info.value) == condition
+    assert out == []
+
+
 def test_closed_even_unlocked_cycle_at_tight_floor():
     g = cycle_graph(4)
     b = DegreeBounds(g, [0, 0, 0, 0], [2, 1, 2, 1])
@@ -226,9 +289,10 @@ def _random_trail_cases(seed, want):
         current, target = rng.sample(states, 2)
         if current == target:
             continue
-        snaps, trails = alternating_trail_decomposition(host, b, current, target)
-        for state, trail in zip(snaps, trails):
-            cases.append((host, b, state, trail))
+        state = current.copy()
+        for trail, _ in peel(host, b, state, target):
+            cases.append((host, b, state.copy(), trail))
+            state.flip(trail.edges)
     return cases[:want]
 
 

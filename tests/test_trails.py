@@ -5,12 +5,12 @@ import pytest
 
 from dcsreconf.augmenting import find_alternating_trail
 from dcsreconf.core import DegreeBounds, Graph, Subgraph, is_ab_constrained, symmetric_difference
+from dcsreconf.decider import alternating_trail_decomposition, peel
 from dcsreconf.errors import ContractError
 from dcsreconf.oracle import enumerate_ab_constrained
 from dcsreconf.trail_type import Trail
 from dcsreconf.trails import (
     TrailClass,
-    alternating_trail_decomposition,
     classify_trail,
     find_augmenting_trail,
     find_maximal_alternating_trail,
@@ -72,6 +72,22 @@ def test_maximal_trail_extends_both_ends():
     t = find_maximal_alternating_trail(diff, sub(g, [1]), 1)
     assert len(t) == 3
     assert set(t.edges) == {0, 1, 2}
+
+
+def test_maximal_trail_grows_both_halves_of_a_long_path():
+    """A 10^4-edge path whose least edge is in the middle: the walk grows
+    5,000 edges at each end and returns the whole path, oriented so that it
+    starts with the smaller of its two end edges."""
+    length = 10_000
+    # edge indices rise with the distance from the middle position
+    positions = sorted(range(length), key=lambda p: (abs(p - length // 2), p))
+    index = {p: e for e, p in enumerate(positions)}
+    g = Graph(length + 1, [(p, p + 1) for p in positions])
+    current = sub(g, [index[p] for p in range(0, length, 2)])
+    t = find_maximal_alternating_trail(sub(g, range(length)), current, 0)
+    path = Trail(tuple(range(length + 1)), tuple(index[p] for p in range(length)))
+    assert path.edges[0] > path.edges[-1]
+    assert t == path.reversed()
 
 
 def test_augmenting_trail_single_edge():
@@ -177,11 +193,10 @@ def test_augmenting_trail_contract_on_random_instances():
 
 def test_decomposition_single_augmentation():
     g = path_graph(2)
-    snaps, trails = alternating_trail_decomposition(
-        g, bounds(g, 0, 1), sub(g), sub(g, [0])
-    )
-    assert len(trails) == 1 and trails[0].edges == (0,)
-    assert snaps[0].edge_set == set()
+    peeled = alternating_trail_decomposition(g, bounds(g, 0, 1), sub(g), sub(g, [0]))
+    assert len(peeled) == 1 and peeled[0][0].edges == (0,)
+    # classified in the empty source, where the flip adds the edge
+    assert peeled[0][1] is TrailClass.M_AUGMENTING
 
 
 def test_decomposition_rejects_equal_endpoints():
@@ -192,9 +207,8 @@ def test_decomposition_rejects_equal_endpoints():
 
 def test_decomposition_cycle_swap_is_single_closed_trail():
     g = cycle_graph(4)
-    snaps, trails = alternating_trail_decomposition(
-        g, bounds(g, 0, 1), sub(g, [0, 2]), sub(g, [1, 3])
-    )
+    peeled = alternating_trail_decomposition(g, bounds(g, 0, 1), sub(g, [0, 2]), sub(g, [1, 3]))
+    trails = [trail for trail, _ in peeled]
     assert len(trails) == 1
     assert trails[0].is_closed and len(trails[0]) == 4
 
@@ -214,10 +228,9 @@ def test_decomposition_takes_the_trails_of_fresh_searches():
     for inst in cases:
         if inst.source == inst.target:
             continue
-        snaps, trails = alternating_trail_decomposition(
-            inst.graph, inst.bounds, inst.source, inst.target
-        )
-        for snap, trail in zip(snaps, trails):
+        cur = inst.source.copy()
+        for trail, _ in peel(inst.graph, inst.bounds, cur, inst.target):
+            snap = cur.copy()
             fresh = find_augmenting_trail(inst.graph, inst.bounds, snap, inst.target)
             if fresh is None:
                 diff = symmetric_difference(snap, inst.target)
@@ -227,6 +240,7 @@ def test_decomposition_takes_the_trails_of_fresh_searches():
             else:
                 grown += 1
             assert trail == fresh
+            cur.flip(trail.edges)
     assert grown > 0 and closed > 0 and pinned > 0
 
 
@@ -259,7 +273,7 @@ def test_decomposition_recovers_long_revisiting_trail():
     lower = [min(current.degrees[v], target.degrees[v]) for v in range(g.n)]
     upper = [max(current.degrees[v], target.degrees[v]) for v in range(g.n)]
     b = DegreeBounds(g, lower, upper)
-    snaps, trails = alternating_trail_decomposition(g, b, current, target)
+    trails = [trail for trail, _ in alternating_trail_decomposition(g, b, current, target)]
     assert len(trails) == 1
     assert len(trails[0]) == 10
     assert not trails[0].is_closed
@@ -277,7 +291,7 @@ def test_decomposition_partitions_difference():
             continue
         current, target = rng.sample(states, 2)
         done += 1
-        snaps, trails = alternating_trail_decomposition(g, b, current, target)
+        trails = [trail for trail, _ in alternating_trail_decomposition(g, b, current, target)]
         diff = current.edge_set ^ target.edge_set
         covered: set[int] = set()
         for t in trails:
@@ -285,8 +299,10 @@ def test_decomposition_partitions_difference():
             covered.update(t.edges)
         assert covered == diff
         assert sum(len(t) for t in trails) == len(diff)
-        for s in snaps:
-            assert is_ab_constrained(s, b)
+        state = current.copy()  # each state a trail was peeled from
+        for t in trails:
+            assert is_ab_constrained(state, b)
+            state.flip(t.edges)
 
 
 def test_classify_augmenting_directions():

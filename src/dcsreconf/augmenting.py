@@ -24,8 +24,16 @@ A search pays for what it finds: it returns as soon as it queues a port at
 a sink, without expanding the ports queued before it, so a short trail costs
 about as much as the ports the search queues on the way. A gadget also keeps
 the set of vertices with an outside port, the only vertices where a growing
-trail (``growing_trail``) can start or end, so a growing-trail search tests
-room there rather than at every vertex.
+trail can start or end, so a growing-trail search tests room there rather
+than at every vertex.
+
+``growing_trail`` asks once whether a growing trail exists, with one search
+from every vertex with room. A peel loop instead takes its growing trails
+from ``growing_trails``: a cursor over one-edge trails, then one search per
+start in vertex order. Each moves past a start for good once it has no
+trail, which is exact because the pool only loses edges and room only
+shrinks, so the whole growing phase costs about what its trails reach plus
+one missed search per start.
 
 Every trail search lets a trail end back at its own start only where that
 vertex can move two steps; ``Gadget.search`` owns that closing rule.
@@ -34,7 +42,7 @@ vertex can move two steps; ``Gadget.search`` owns that closing rule.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .core import DegreeBounds, Graph, Subgraph
 from .trail_type import Trail
@@ -114,7 +122,8 @@ class Gadget:
         such trail exists.
 
         ``closes``, when given, says where an odd trail may end back at its
-        start. A lone source is dropped from the add sinks unless it closes.
+        start. A lone source is taken out of ``add_sinks`` unless it closes;
+        the set is restored before the search returns.
         Several are searched at once, and once per start in vertex order only
         when that returns a closed trail at a start that cannot close, since
         then acceptance depends on the start.
@@ -130,8 +139,19 @@ class Gadget:
             return None
         if closes is not None and len(sources) == 1:
             (x,) = sources
-            if not closes(x):
-                add_sinks = add_sinks - {x}
+            if x in add_sinks and not closes(x):
+                # ``x`` leaves the sinks for this search only, which costs O(1)
+                # where a copy of the sinks would cost O(|add_sinks|).
+                add_sinks.discard(x)
+                try:
+                    return self._search({x}, add_sinks, remove_sinks)
+                finally:
+                    add_sinks.add(x)
+        return self._search(sources, add_sinks, remove_sinks)
+
+    def _search(
+        self, sources: set[int], add_sinks: set[int], remove_sinks: set[int]
+    ) -> Trail | None:
         if not self.index or not sources or not (add_sinks or remove_sinks):
             return None
         node_path = _augmenting_node_path(self, sources, add_sinks, remove_sinks)
@@ -167,6 +187,56 @@ def growing_trail(gadget: Gadget, bounds: DegreeBounds, current: Subgraph) -> Tr
     # growing trail, so room is tested there alone.
     room = {v for v in gadget.outside_vertices if degrees[v] < upper[v]}
     return gadget.search(room, room, closes=lambda v: degrees[v] + 2 <= upper[v])
+
+
+def growing_trails(gadget: Gadget, bounds: DegreeBounds, current: Subgraph) -> Iterator[Trail]:
+    """The growing trails of a peel loop, one per resume, until none is left.
+
+    The gadget's member set must be ``current``. The caller flips each trail
+    into ``current`` and drops its edges from the pool before resuming, and
+    changes nothing else, so no edge left in the pool changes side. Each
+    trail is one ``growing_trail`` would accept; the generator is exhausted
+    exactly when ``growing_trail`` would return None.
+
+    The pool only loses edges and a grown trail's flip raises the degree at
+    its two ends only, so the vertices with room only shrink. Hence a vertex
+    with no one-edge trail, or whose own search misses, never gets a trail
+    later (Edmonds 1965, as for augmenting paths); both cursors below move
+    past such a vertex for good. The room set is kept in step with the pool:
+    it changes only at the ends of each trail taken.
+    """
+    degrees, upper = current.degrees, bounds.upper
+    room = {v for v in gadget.outside_vertices if degrees[v] < upper[v]}
+    starts = sorted(room)
+    edges, vertex_of, match = gadget.edges, gadget.vertex_of, gadget.match
+
+    def settle(trail: Trail) -> None:
+        """Take the ends of the trail just flipped out of ``room`` once full."""
+        for v in (trail.vertices[0], trail.vertices[-1]):
+            if degrees[v] >= upper[v]:
+                room.discard(v)
+
+    # One-edge trails first, at each start in vertex order: the first outside
+    # port whose far end has room. While any one-edge trail is left, that is
+    # the trail the multi-source root expansion returns first.
+    for x in starts:
+        while x in room:
+            ports = gadget.outside_at[x]
+            far = next((match[p] for p in ports if vertex_of[match[p]] in room), None)
+            if far is None:
+                break
+            trail = Trail((x, vertex_of[far]), (edges[(far - 2) >> 1],))
+            yield trail
+            settle(trail)
+    # Then one search from each start in vertex order, until it misses or the
+    # start has no room left.
+    for x in starts:
+        while x in room:
+            trail = gadget.search({x}, room, closes=lambda v: degrees[v] + 2 <= upper[v])
+            if trail is None:
+                break
+            yield trail
+            settle(trail)
 
 
 def _decode(gadget: Gadget, node_path: list[int]) -> Trail:

@@ -5,8 +5,9 @@ their indices, so moves, witnesses and trace entries need no mapping back),
 orient so the source is no larger than the target, then peel alternating
 trails and dispatch each by its class. ``peel`` is the one peel loop, and
 ``alternating_trail_decomposition`` lists what it takes: growing trails while
-a search finds one, then, after the first miss, maximal trails from the least
-edge left, with no further search. At slack 1 with equal sizes the procedure
+any is left (from ``augmenting.growing_trails``, which moves past a start for
+good once it has no trail), then maximal trails from the least edge left,
+with no further search. At slack 1 with equal sizes the procedure
 either works between maximum subgraphs (where locked upper-tight cycles are
 conclusive) or routes through a one-edge augmentation of the target. Between
 maximum subgraphs one whole-host gadget, built once, answers the maximality
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .augmenting import Gadget
+from .augmenting import Gadget, growing_trails
 from .core import (
     DegreeBounds,
     Graph,
@@ -35,12 +36,10 @@ from .internal import _closed_even, _elementary, _odd_grow, _odd_shrink
 from .obstructions import fixed_edge_witness, m_fixed_subgraph, restrict_instance
 from .solver import augment_trail, is_maximum
 from .trail_type import Trail
-from .trails import (
-    TrailClass,
-    classify_trail,
-    find_augmenting_trail,
-    find_maximal_alternating_trail,
-)
+from .trails import TrailClass, classify_trail, find_maximal_alternating_trail
+# Not called here; bound because the benchmark's traced run wraps this name
+# (``perfbench/tracer.py``, ``_WRAPS``).
+from .trails import find_augmenting_trail  # noqa: F401
 
 FIXED_EDGE = "fixed-edge"
 LOCKED_B_TIGHT_CYCLE = "locked-btight-cycle"
@@ -164,8 +163,8 @@ def peel(graph: Graph, bounds: DegreeBounds, current: Subgraph, target: Subgraph
 
     Yields ``(trail, TrailClass)`` pairs, each classified around ``current``;
     the caller flips each trail into ``current`` before asking for the next.
-    Peeling has two phases: growing trails (flip adds an edge) while a search
-    finds one, then the maximal trail around the least edge left for every
+    Peeling has two phases: growing trails (flip adds an edge) while any is
+    left, then the maximal trail around the least edge left for every
     remaining trail, with no further search.
     """
     remaining = Subgraph(graph, current.edge_set ^ target.edge_set)
@@ -173,19 +172,26 @@ def peel(graph: Graph, bounds: DegreeBounds, current: Subgraph, target: Subgraph
     # edge left in the pool changes side and one gadget over the difference
     # serves every search.
     pool = Gadget(graph, remaining.edge_set, current.edge_set)
+    # While growing, the pool only loses edges, no edge left changes side and
+    # room only shrinks, so a trail from a start later was one already: a
+    # start that misses (no one-edge trail, or its own search finds nothing)
+    # never finds a trail later (Edmonds 1965, as for augmenting paths).
+    # ``growing_trails`` moves past each such start for good and runs out
+    # exactly when no growing trail is left.
+    grown = growing_trails(pool, bounds, current)
     order = sorted(remaining.edge_set)  # fallback starts: the least edge left
     cursor = 0
     growing = True
     while remaining.edge_set:
         trail = None
         if growing:
-            trail = find_augmenting_trail(graph, bounds, current, target, pool)
-            # After the first miss no later peel can create a growing trail.
-            # The pool only loses edges and no edge left changes side, so
-            # every later candidate was a trail at the miss. Each later trail
-            # is maximal (or a closed cycle that moves no degree), so its flip
-            # moves degrees only at its ends; and an end that gains room has
-            # no outside pool edge left, since the trail would have been
+            trail = next(grown, None)
+            # After the growing phase no later peel can create a growing
+            # trail. The pool only loses edges and no edge left changes side,
+            # so every later candidate was a trail when it ended. Each later
+            # trail is maximal (or a closed cycle that moves no degree), so its
+            # flip moves degrees only at its ends; and an end that gains room
+            # has no outside pool edge left, since the trail would have been
             # extended along it, so no growing trail can end there.
             growing = trail is not None
         if trail is None:

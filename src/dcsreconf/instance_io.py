@@ -81,13 +81,18 @@ def parse_instance(text: str) -> Instance:
 
 
 def _edge_subset(graph: Graph, indices: list[int], which: str) -> Subgraph:
+    # Filled in place: ``Subgraph.add`` would repeat both checks per edge.
     sub = Subgraph(graph)
+    edge_set, degrees, ends, m = sub.edge_set, sub.degrees, graph.edges, graph.m
     for e in indices:
-        if not 0 <= e < graph.m:
+        if not 0 <= e < m:
             raise InputError("edge-index", f"{which} lists unknown edge index {e}")
-        if e in sub:
+        if e in edge_set:
             raise InputError("edge-index", f"{which} lists edge {e} twice")
-        sub.add(e)
+        edge_set.add(e)
+        u, v = ends[e]
+        degrees[u] += 1
+        degrees[v] += 1
     return sub
 
 

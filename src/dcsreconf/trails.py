@@ -77,22 +77,17 @@ def find_maximal_alternating_trail(diff: Subgraph, current: Subgraph, start_edge
 
 
 def find_augmenting_trail(
-    graph: Graph,
-    bounds: DegreeBounds,
-    current: Subgraph,
-    target: Subgraph,
-    gadget: Gadget | None = None,
+    graph: Graph, bounds: DegreeBounds, current: Subgraph, target: Subgraph
 ) -> Trail | None:
     """A trail in current^target whose flip grows ``current`` by one edge.
 
     The trail starts and ends with target-side edges at vertices that can
     accept another edge; when both ends coincide, that vertex needs room for
-    two. Returns None when no such trail exists. A caller searching in a loop
-    passes one ``gadget`` over current^target around ``current`` and keeps it
-    in step with both.
+    two. Returns None when no such trail exists. One search on a fresh
+    gadget; a peel loop takes its growing trails from
+    ``augmenting.growing_trails`` instead.
     """
-    if gadget is None:
-        gadget = Gadget(graph, current.edge_set ^ target.edge_set, current.edge_set)
+    gadget = Gadget(graph, current.edge_set ^ target.edge_set, current.edge_set)
     return growing_trail(gadget, bounds, current)
 
 

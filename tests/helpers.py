@@ -10,6 +10,7 @@ from dcsreconf.augmenting import Gadget, find_alternating_trail
 from dcsreconf.core import DegreeBounds, Graph, Instance, Move, Subgraph
 from dcsreconf.external import _escape_trail
 from dcsreconf.oracle import enumerate_ab_constrained
+from dcsreconf.trail_type import Trail
 
 
 def graph(n: int, edges) -> Graph:
@@ -39,6 +40,28 @@ def flipped(current: Subgraph, trail) -> Subgraph:
     out = current.copy()
     out.flip(trail.edges)
     return out
+
+
+def next_growing_trail(g: Graph, b: DegreeBounds, current: Subgraph, target: Subgraph):
+    """The growing trail a peel loop takes next, from fresh searches on
+    current^target: the first one-edge trail (least start, then least edge),
+    else the trail of the least start whose own search finds one, every
+    smaller start with room missing on its own fresh gadget. None when no
+    start has a trail."""
+    diff = current.edge_set ^ target.edge_set
+    room = [v for v in range(g.n) if current.degrees[v] < b.upper[v]]
+    for x in room:
+        for e in sorted(g.incident[x]):
+            y = g.other_end(e, x)
+            if e in diff and e not in current and current.degrees[y] < b.upper[y]:
+                return Trail((x, y), (e,))
+    for x in room:
+        # the trail may close at x only where x has room for two
+        sinks = set(room) if current.degrees[x] + 2 <= b.upper[x] else set(room) - {x}
+        trail = find_alternating_trail(g, diff, current.edge_set, {x}, sinks)
+        if trail is not None:
+            return trail
+    return None
 
 
 def on_copy(worker, trail, current: Subgraph, *args, **kwargs) -> list[Move]:
@@ -260,10 +283,26 @@ def random_connected_graph(rng, n: int, m: int) -> Graph:
     return Graph(n, sorted(edges))
 
 
-def loose_instance(rng, n: int, m: int) -> Instance:
+def sparse_connected_graph(rng, n: int, m: int) -> Graph:
+    """``random_connected_graph`` for hosts too large to list every vertex
+    pair: the extra edges are drawn by rejection instead."""
+    edges = set()
+    order = list(range(n))
+    rng.shuffle(order)
+    for i in range(1, n):
+        u, v = order[i], order[rng.randrange(i)]
+        edges.add((min(u, v), max(u, v)))
+    while len(edges) < m:
+        u, v = rng.sample(range(n), 2)
+        edges.add((min(u, v), max(u, v)))
+    return Graph(n, sorted(edges))
+
+
+def loose_instance(rng, n: int, m: int, connected=random_connected_graph) -> Instance:
     """Random source and target (each edge with probability 0.4) on a random
-    connected host, bounds one below and one above their degrees, k in 1..3."""
-    g = random_connected_graph(rng, n, m)
+    connected host (from ``connected``), bounds one below and one above their
+    degrees, k in 1..3."""
+    g = connected(rng, n, m)
     s1 = Subgraph(g, [e for e in range(g.m) if rng.random() < 0.4])
     s2 = Subgraph(g, [e for e in range(g.m) if rng.random() < 0.4])
     lower = [max(0, min(s1.degrees[v], s2.degrees[v]) - 1) for v in range(g.n)]

@@ -1,9 +1,12 @@
 import random
+import sys
+from types import CodeType
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcsreconf import decider
+from dcsreconf.augmenting import Gadget, growing_trails
 from dcsreconf.core import DegreeBounds, Graph, Instance, Move, Subgraph, verify_move_sequence
 from dcsreconf.decider import (
     FIXED_EDGE,
@@ -11,11 +14,12 @@ from dcsreconf.decider import (
     LOCKED_B_TIGHT_CYCLE,
     decide,
     decide_with_trace,
+    peel,
 )
 from dcsreconf.obstructions import m_fixed_subgraph
 from dcsreconf.oracle import enumerate_ab_constrained, oracle_decide
 from dcsreconf.trail_type import Trail
-from dcsreconf.trails import find_augmenting_trail
+from dcsreconf.trails import TrailClass, find_augmenting_trail
 
 from helpers import (
     bounds,
@@ -24,12 +28,14 @@ from helpers import (
     graph,
     inst,
     loose_instance,
+    next_growing_trail,
     path_graph,
     planted_tight_cycles,
     random_bounds,
     random_bounds_instance,
     random_connected_graph,
     relabelled,
+    sparse_connected_graph,
     sub,
 )
 
@@ -404,52 +410,110 @@ def record_peel_loops(monkeypatch):
 def test_peeled_growing_trails_match_fresh_searches(monkeypatch):
     """Replaying each peel loop's trace on the instance it ran on (restricted,
     oriented, or grown by a detour), each trail is grown exactly when a fresh
-    search (on a fresh gadget) finds a growing trail, and it is that trail."""
+    search (on a fresh gadget) finds a growing trail, and it is the trail that
+    fresh searches take next: the first one-edge trail where one exists, else
+    the trail of the least start whose own search finds one."""
     runs = record_peel_loops(monkeypatch)
     for instance in peel_loop_cases():
         decide_with_trace(instance)
-    grown = closed = 0
+    one_edge = searched = closed = 0
     for inst, entries, decision in runs:
         cur = inst.source
         for entry in entries:
             fresh = find_augmenting_trail(inst.graph, inst.bounds, cur, inst.target)
             assert (entry.rule == "grow") == (fresh is not None)
             if fresh is not None:
-                assert entry.trail == fresh
-                grown += 1
+                assert entry.trail == next_growing_trail(inst.graph, inst.bounds, cur, inst.target)
+                one_edge += len(entry.trail) == 1
+                searched += len(entry.trail) > 1
             else:
                 closed += entry.trail.is_closed
             cur = flipped(cur, entry.trail)
         if decision.yes:
             assert cur == inst.target
-    assert grown > 0 and closed > 0
+    assert one_edge > 0 and searched > 0 and closed > 0
 
 
 def test_growing_trail_searches_stop_at_the_first_miss(monkeypatch):
-    """A peel loop searches for a growing trail before each grown trail and
-    once more, at most, for the miss that ends its growing phase."""
-    runs = record_peel_loops(monkeypatch)
-    searches: list[bool] = []
-    search = decider.find_augmenting_trail
+    """Each trail search of a peel loop starts at one vertex and finds a grown
+    trail or misses, and a start that misses is never searched again. So a
+    loop makes at most as many searches as it grows trails plus the vertices
+    with room when it starts."""
+    searches: list[tuple[frozenset, bool]] = []
+    search = Gadget.search
 
-    def counted(*args):
-        found = search(*args)
-        searches.append(found is not None)
-        return found
+    def counted(self, sources, *args, **kwargs):
+        trail = search(self, sources, *args, **kwargs)
+        searches.append((frozenset(sources), trail is not None))
+        return trail
 
-    monkeypatch.setattr(decider, "find_augmenting_trail", counted)
-    several_fallbacks = 0
+    monkeypatch.setattr(Gadget, "search", counted)
+    several_fallbacks = searched_loops = 0
     for instance in peel_loop_cases():
+        if instance.source == instance.target:
+            continue
+        g, b, cur = instance.graph, instance.bounds, instance.source.copy()
+        room = sum(d < u for d, u in zip(cur.degrees, b.upper))
         searches.clear()
-        runs.clear()
-        decide_with_trace(instance)
-        grown = sum(entry.rule == "grow" for _, entries, _ in runs for entry in entries)
-        assert searches.count(True) == grown
-        assert searches.count(False) <= len(runs)
-        several_fallbacks += any(
-            sum(entry.rule != "grow" for entry in entries) >= 2 for _, entries, _ in runs
-        )
-    assert several_fallbacks > 0
+        classes = []
+        for trail, cls in peel(g, b, cur, instance.target):
+            classes.append(cls)
+            cur.flip(trail.edges)
+        grown = classes.count(TrailClass.M_AUGMENTING)
+        dead = set()
+        for sources, found in searches:
+            assert len(sources) == 1 and sources not in dead
+            if not found:
+                dead.add(sources)
+        assert len(searches) <= grown + room
+        searched_loops += len(searches) > len(dead) > 0
+        several_fallbacks += len(classes) - grown >= 2
+    assert searched_loops > 0 and several_fallbacks > 0
+
+
+def test_loose_twenty_thousand_edge_host_decides_with_replayed_moves():
+    """A loose host of 20,000 edges: every difference edge moves once, and
+    the moves replay to the target."""
+    i = loose_instance(random.Random(20000), 20000 // 3, 20000, sparse_connected_graph)
+    d = decide(i)
+    assert d.yes
+    assert len(d.moves) == len(i.source.edge_set ^ i.target.edge_set)
+    assert verify_move_sequence(i, list(d.moves))
+
+
+def _growing_phase_lines_per_edge(i: Instance) -> float:
+    """Lines run inside ``augmenting.growing_trails`` (its own code and the
+    code nested in it, not the searches it calls) per difference edge, while
+    ``peel`` takes the difference apart: the growing phase's own work."""
+    code = growing_trails.__code__
+    codes = {code} | {c for c in code.co_consts if isinstance(c, CodeType)}
+    lines = 0
+
+    def local(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return local
+
+    cur = i.source.copy()
+    before = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code in codes else None)
+    try:
+        for trail, _ in peel(i.graph, i.bounds, cur, i.target):
+            cur.flip(trail.edges)
+    finally:
+        sys.settrace(before)
+    return lines / len(i.source.edge_set ^ i.target.edge_set)
+
+
+def test_growing_phase_work_per_edge_does_not_grow_with_the_host():
+    """The one-edge cursor and the per-start searches move past each start
+    for good, so the growing phase's own work per difference edge stays flat
+    from 2,000 to 8,000 edges (a cursor that rescanned the starts it passed
+    would do about four times as much per edge at the larger size)."""
+    small, large = (
+        loose_instance(random.Random(m), m // 3, m, sparse_connected_graph) for m in (2000, 8000)
+    )
+    assert _growing_phase_lines_per_edge(large) <= 1.5 * _growing_phase_lines_per_edge(small)
 
 
 def _pinned_loose_instance(rng, m: int, share: float) -> Instance:

@@ -22,6 +22,7 @@ from helpers import (
     cycle_graph,
     graph,
     loose_instance,
+    next_growing_trail,
     path_graph,
     random_bounds,
     random_bounds_instance,
@@ -215,33 +216,39 @@ def test_decomposition_cycle_swap_is_single_closed_trail():
 
 def test_decomposition_takes_the_trails_of_fresh_searches():
     """The peel loop keeps one gadget (and its outside vertices) in step with
-    its subgraph; every trail it takes is the one a fresh search would take,
-    on loose instances and on small random-bounds ones, which also peel
-    closed fallback trails and fallback trails through pinned vertices."""
+    its subgraph; it grows a trail exactly when a fresh search finds one, and
+    every trail it takes is the one fresh searches would take next: the first
+    one-edge trail, else the trail of the least start whose own search finds
+    one, else the maximal trail around the least edge left. Checked on loose
+    instances and on small random-bounds ones, which also peel closed fallback
+    trails and fallback trails through pinned vertices."""
     rng = random.Random(11)
     cases = []
     for _ in range(60):
         m = rng.randint(8, 60)
         cases.append(loose_instance(rng, max(5, m // 3), m))
     cases += [random_bounds_instance(rng) for _ in range(300)]
-    grown = closed = pinned = 0
+    one_edge = searched = closed = pinned = 0
     for inst in cases:
         if inst.source == inst.target:
             continue
         cur = inst.source.copy()
         for trail, _ in peel(inst.graph, inst.bounds, cur, inst.target):
             snap = cur.copy()
-            fresh = find_augmenting_trail(inst.graph, inst.bounds, snap, inst.target)
+            grows = find_augmenting_trail(inst.graph, inst.bounds, snap, inst.target) is not None
+            fresh = next_growing_trail(inst.graph, inst.bounds, snap, inst.target)
+            assert grows == (fresh is not None)
             if fresh is None:
                 diff = symmetric_difference(snap, inst.target)
                 fresh = find_maximal_alternating_trail(diff, snap, min(diff.edge_set))
                 closed += fresh.is_closed
                 pinned += any(inst.bounds.lower[v] == inst.bounds.upper[v] for v in fresh.vertices)
             else:
-                grown += 1
+                one_edge += len(fresh) == 1
+                searched += len(fresh) > 1
             assert trail == fresh
             cur.flip(trail.edges)
-    assert grown > 0 and closed > 0 and pinned > 0
+    assert one_edge > 0 and searched > 0 and closed > 0 and pinned > 0
 
 
 def figure_like_two_loop_host():

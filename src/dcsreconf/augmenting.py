@@ -13,12 +13,14 @@ not enough).
 The gadget is implicit and persistent. A ``Gadget`` keeps only the ports of
 its pool, each vertex's ports split by side in pool order, and the blossom
 search state. A port's neighbours are generated during the search: the ports
-of the opposite side at its vertex, then sigma (outside ports at a source).
-Tau is adjacent to the outside ports at an add sink and the member ports at
-a remove sink; the search tests each port for that as it becomes outer. One
-gadget serves every search of a loop: ``drop`` takes an edge out of the pool,
-``flip`` moves it to the other side, and each search resets only the nodes it
-reached. ``find_alternating_trail`` is the one-shot form.
+of the opposite side at its vertex, then sigma. Sigma is adjacent to the
+ports at a source on the first edge's side, outside unless the caller sets
+``first_inside``; tau to the outside ports at an add sink and the member
+ports at a remove sink, whichever side the trail starts on. The search tests
+each port for that as it becomes outer. One gadget serves every search of a
+loop: ``drop`` takes an edge out of the pool, ``flip`` moves it to the other
+side, and each search resets only the nodes it reached.
+``find_alternating_trail`` is the one-shot form.
 
 A search pays for what it finds: it returns as soon as it queues a port at
 a sink, without expanding the ports queued before it, so a short trail costs
@@ -112,52 +114,51 @@ class Gadget:
         add_sinks: set[int],
         remove_sinks: set[int] = frozenset(),
         closes: Callable[[int], bool] | None = None,
+        first_inside: bool = False,
     ) -> Trail | None:
         """Find a trail within the pool alternating around the member set.
 
-        The trail starts at a vertex in ``sources`` with a non-member edge and
-        either ends at a vertex in ``add_sinks`` with a non-member edge (odd
-        trail, one more non-member than member edge) or at a vertex in
-        ``remove_sinks`` with a member edge (even trail). Returns None when no
-        such trail exists.
+        The trail starts at a vertex in ``sources`` with a non-member edge
+        (a member edge when ``first_inside``) and ends at a vertex in
+        ``add_sinks`` with a non-member edge or in ``remove_sinks`` with a
+        member edge; it is odd when it ends on its first edge's side. Returns
+        None when no such trail exists.
 
         ``closes``, when given, says where an odd trail may end back at its
-        start. A lone source is taken out of ``add_sinks`` unless it closes;
-        the set is restored before the search returns.
-        Several are searched at once, and once per start in vertex order only
-        when that returns a closed trail at a start that cannot close, since
-        then acceptance depends on the start.
+        start. A lone source is taken out of its first side's sinks unless it
+        closes; the set is restored before the search returns. Several are
+        searched at once, and once per start in vertex order only when that
+        returns a closed trail at a start that cannot close, since then
+        acceptance depends on the start.
         """
         if closes is not None and len(sources) > 1:
-            found = self.search(sources, add_sinks, remove_sinks)
+            found = self.search(sources, add_sinks, remove_sinks, first_inside=first_inside)
             if found is None or not found.is_closed or closes(found.vertices[0]):
                 return found
             for u in sorted(sources):
-                found = self.search({u}, add_sinks, remove_sinks, closes)
+                found = self.search({u}, add_sinks, remove_sinks, closes, first_inside)
                 if found is not None:
                     return found
             return None
         if closes is not None and len(sources) == 1:
             (x,) = sources
-            if x in add_sinks and not closes(x):
-                # ``x`` leaves the sinks for this search only, which costs O(1)
-                # where a copy of the sinks would cost O(|add_sinks|).
-                add_sinks.discard(x)
+            own = remove_sinks if first_inside else add_sinks
+            if x in own and not closes(x):
+                # ``x`` leaves them for this search only: O(1), where a copy costs O(|own|)
+                own.discard(x)
                 try:
-                    return self._search({x}, add_sinks, remove_sinks)
+                    return self._search({x}, add_sinks, remove_sinks, first_inside)
                 finally:
-                    add_sinks.add(x)
-        return self._search(sources, add_sinks, remove_sinks)
+                    own.add(x)
+        return self._search(sources, add_sinks, remove_sinks, first_inside)
 
     def _search(
-        self, sources: set[int], add_sinks: set[int], remove_sinks: set[int]
+        self, sources: set[int], add_sinks: set[int], remove_sinks: set[int], first_inside: bool
     ) -> Trail | None:
         if not self.index or not sources or not (add_sinks or remove_sinks):
             return None
-        node_path = _augmenting_node_path(self, sources, add_sinks, remove_sinks)
-        if node_path is None:
-            return None
-        return _decode(self, node_path)
+        node_path = _augmenting_node_path(self, sources, add_sinks, remove_sinks, first_inside)
+        return None if node_path is None else _decode(self, node_path)
 
 
 def find_alternating_trail(
@@ -261,10 +262,15 @@ def _decode(gadget: Gadget, node_path: list[int]) -> Trail:
 
 
 def _augmenting_node_path(
-    gadget: Gadget, sources: set[int], add_sinks: set[int], remove_sinks: set[int]
+    gadget: Gadget,
+    sources: set[int],
+    add_sinks: set[int],
+    remove_sinks: set[int],
+    first_inside: bool,
 ) -> list[int] | None:
     """Blossom search for an augmenting path from sigma to tau.
 
+    Sigma's neighbours are the ports at a source on the first edge's side.
     Tau's neighbours are the ports at a sink (inside at a remove sink, outside
     at an add sink), so the search returns as soon as such a port becomes
     outer: at the root's expansion, by tree growth, or in a blossom once it is
@@ -277,6 +283,7 @@ def _augmenting_node_path(
     parent, base, used, stamp = gadget.parent, gadget.base, gadget.used, gadget.stamp
     match, vertex_of, inside = gadget.match, gadget.vertex_of, gadget.inside
     inside_at, outside_at = gadget.inside_at, gadget.outside_at
+    first_at = inside_at if first_inside else outside_at  # sigma's side
     root = _SIGMA
     members: dict[int, list[int]] = {}
     used[root] = True
@@ -310,13 +317,13 @@ def _augmenting_node_path(
             v = parent[match[v]]
 
     try:
-        # The root's expansion: each outside port at a source becomes inner
-        # and its partner outer; when the partner is inner already (both ends
-        # of the edge are sources), the edge closes a blossom whose base is
-        # the root. The root's class is never absorbed, so its member list is
-        # not kept.
+        # The root's expansion: each port on sigma's side at a source becomes
+        # inner and its partner outer; when the partner is inner already (both
+        # ends of the edge are sources), the edge closes a blossom whose base
+        # is the root. The root's class is never absorbed, so its member list
+        # is not kept.
         for x in sorted(sources):
-            for u in outside_at[x]:
+            for u in first_at[x]:
                 w = match[u]
                 parent[u] = root
                 if parent[w] != -1:
@@ -330,12 +337,9 @@ def _augmenting_node_path(
             v = queue[head]
             head += 1
             x = vertex_of[v]
-            if inside[v]:
-                neighbours = outside_at[x]
-            else:
-                neighbours = inside_at[x]
-                if x in sources:
-                    neighbours = neighbours + [_SIGMA]
+            neighbours = outside_at[x] if inside[v] else inside_at[x]
+            if inside[v] == first_inside and x in sources:
+                neighbours = neighbours + [_SIGMA]
             for u in neighbours:
                 if base[v] == base[u] or match[v] == u:
                     continue

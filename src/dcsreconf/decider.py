@@ -237,7 +237,9 @@ def _process(inst: Instance, trace: list[TraceEntry], host: Gadget | None = None
     # Every rule's net effect is exactly its trail's flip, so ``ctx`` is in
     # step with ``peel``, and ``host`` (flipping each trail) serves every
     # escape search. ``host`` spans the whole host and is given exactly
-    # between maximum subgraphs at slack 1.
+    # between maximum subgraphs at slack 1, with the slack set where escapes end.
+    if host is not None:
+        slack = {v for v in range(graph.n) if ctx.degrees[v] < bounds.upper[v]}
     for trail, cls in peel(graph, bounds, ctx, inst.target):
         before = len(out)
         if cls is TrailClass.M_AUGMENTING:
@@ -258,7 +260,7 @@ def _process(inst: Instance, trace: list[TraceEntry], host: Gadget | None = None
         elif cls is TrailClass.B_TIGHT_CYCLE:
             if host is not None:
                 try:
-                    _btight_cycle(trail, ctx, graph, bounds, out, host)
+                    _btight_cycle(trail, ctx, bounds, out, host, slack)
                     rule = "tight-cycle-escape"
                 except LockedCycleError:
                     return Decision.reject(
@@ -283,6 +285,11 @@ def _process(inst: Instance, trace: list[TraceEntry], host: Gadget | None = None
         if host is not None:
             for e in trail.edges:
                 host.flip(e)
+            # A flip moves degrees only at the trail's two ends, so the slack
+            # set changes there alone.
+            ends = (trail.vertices[0], trail.vertices[-1])
+            slack.difference_update(ends)
+            slack.update(v for v in ends if ctx.degrees[v] < bounds.upper[v])
     if ctx != inst.target:
         raise SynthesisError("trail processing did not arrive at the target")
     return Decision.accept(out)

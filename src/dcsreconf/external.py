@@ -5,7 +5,9 @@ vertex can temporarily shed an edge through an escape trail ending at a
 vertex with spare capacity; an alternately tight cycle can only flip if an
 unlocking trail exists: one that uses no cycle edge, leaves a cycle vertex
 over the edge that moves it off its role's bound, and ends where the far end
-can take the change. Both routines restore every off-cycle side effect.
+can take the change. Both trails are searched forward from the cycle, on a
+gadget around the current subgraph, with the side of the first edge set per
+search. Both routines restore every off-cycle side effect.
 """
 
 from __future__ import annotations
@@ -19,27 +21,20 @@ from .internal import _elementary
 from .augmenting import find_alternating_trail  # noqa: F401
 from .solver import feasible_subgraph  # noqa: F401
 from .trail_type import Trail, concat, single_edge_trail
-from .trails import is_alternatingly_ab_tight
+from .trails import ab_tight_roles
 
 
 def _escape_trail(
-    graph: Graph,
-    bounds: DegreeBounds,
-    current: Subgraph,
-    candidates: set[int],
-    gadget: Gadget,
+    bounds: DegreeBounds, current: Subgraph, candidates: set[int], gadget: Gadget, slack: set[int]
 ) -> Trail | None:
     """Even alternating trail from a candidate, first edge inside, ending at slack.
 
-    Searched in reverse (from the slack vertices back to the candidates) so
-    the generic engine's start convention applies; edge-distinctness is
-    enforced by the engine's gadget construction. ``gadget`` spans the whole
-    host around ``current``.
+    ``gadget`` spans the whole host around ``current`` and ``slack`` holds
+    the vertices below their upper bound; the caller keeps both in step with
+    ``current``.
     """
-    slack = {v for v in range(graph.n) if current.degrees[v] < bounds.upper[v]}
     goals = {v for v in candidates if current.degrees[v] > bounds.lower[v]}
-    found = gadget.search(slack, set(), goals)
-    return found.reversed() if found is not None else None
+    return gadget.search(goals, slack, first_inside=True)
 
 
 def _rooted_loop(cycle: Trail, root: int, first_inside: bool, current: Subgraph) -> Trail:
@@ -65,34 +60,34 @@ def _cycle_minus_edge(cycle: Trail, drop: int, start: int) -> Trail:
     raise ContractError(f"edge {drop} with endpoint {start} not found on the cycle")
 
 
-def _assert_net_effect(
-    before: Subgraph, after: Subgraph, cycle: Trail, where: str
-) -> None:
-    expected = before.edge_set ^ set(cycle.edges)
-    if after.edge_set != expected:
+def _assert_net_effect(moves: list[Move], cycle: Trail, where: str) -> None:
+    """The moves flip exactly the cycle: its edges an odd number of times, others evenly."""
+    odd: set[int] = set()
+    for move in moves:
+        odd ^= {move.edge}
+    if odd != set(cycle.edges):
         raise SynthesisError(f"{where} left stray side effects outside the cycle")
 
 
 def _btight_cycle(
     cycle: Trail,
     ctx: Subgraph,
-    graph: Graph,
     bounds: DegreeBounds,
     out: list[Move],
     gadget: Gadget,
+    slack: set[int],
 ) -> None:
     if not cycle.is_closed or len(cycle) % 2 != 0:
         raise ContractError("closed even-length cycle expected")
     for v in cycle.vertices:
         if ctx.degrees[v] != bounds.upper[v]:
             raise ContractError(f"cycle vertex {v} is not at its upper bound")
-    escape = _escape_trail(graph, bounds, ctx, set(cycle.vertices), gadget)
+    escape = _escape_trail(bounds, ctx, set(cycle.vertices), gadget, slack)
     if escape is None:
         raise LockedCycleError(cycle, "upper-tight")
-    snapshot = ctx.copy()
+    before = len(out)
     cyc_edges = set(cycle.edges)
-    shared = [i for i, e in enumerate(escape.edges) if e in cyc_edges]
-    last = shared[-1] if shared else None
+    last = max((i for i, e in enumerate(escape.edges) if e in cyc_edges), default=None)
     if last is not None and escape.edges[last] in ctx:
         # the escape leaves the cycle over a current edge: flip from that edge
         # on, then sweep back together with the remaining open cycle part
@@ -101,7 +96,6 @@ def _btight_cycle(
         y = escape.vertices[last + 1]
         rest = _cycle_minus_edge(cycle, escape.edges[last], y)
         sweep_back = concat(escape.segment(last + 1, len(escape)).reversed(), rest)
-        _elementary(sweep_back, ctx, bounds, out)
     else:
         start = last + 1 if last is not None else 0
         y = escape.vertices[start]
@@ -109,18 +103,8 @@ def _btight_cycle(
         _elementary(sweep_out, ctx, bounds, out)
         loop = _rooted_loop(cycle, y, first_inside=True, current=ctx)
         sweep_back = concat(sweep_out.reversed(), loop)
-        _elementary(sweep_back, ctx, bounds, out)
-    _assert_net_effect(snapshot, ctx, cycle, "upper-tight cycle reconfiguration")
-
-
-def _pattern_roles(cycle: Trail, current: Subgraph, bounds: DegreeBounds) -> list[str]:
-    """Per-position tightness role ('a' or 'b') under the pattern that holds."""
-    even_lower = all(
-        (current.degrees[cycle.vertices[i]] == bounds.lower[cycle.vertices[i]])
-        == (i % 2 == 0)
-        for i in range(len(cycle))
-    )
-    return ["a" if (i % 2 == 0) == even_lower else "b" for i in range(len(cycle))]
+    _elementary(sweep_back, ctx, bounds, out)
+    _assert_net_effect(out[before:], cycle, "upper-tight cycle reconfiguration")
 
 
 def exists_unlocking_subgraph(
@@ -136,37 +120,40 @@ def exists_unlocking_subgraph(
     breaks the pattern: their symmetric difference splits into alternating
     trails, and the one leaving a broken vertex is such a trail.
 
-    a-role starts are searched on a gadget around ``current``, b-role starts
-    on one around the pool's complement, where a member edge first is the
-    usual non-member edge first and room and spare swap places.
+    One gadget around ``current`` over the off-cycle edges serves both
+    roles: a-role starts are searched first, then b-role starts with a member
+    edge first.
     """
-    if not is_alternatingly_ab_tight(cycle, current, bounds):
+    roles = ab_tight_roles(cycle, current, bounds)
+    if roles is None:
         raise ContractError("cycle is not alternately tight in the current subgraph")
-    roles = _pattern_roles(cycle, current, bounds)
-    host = graph.without(cycle.edges)
+    on_cycle = set(cycle.edges)
     room = [b - d for b, d in zip(bounds.upper, current.degrees)]
     spare = [d - a for d, a in zip(current.degrees, bounds.lower)]
-    for role in ("a", "b"):
-        inside = role == "b"
-        # a start without an off-cycle edge on its side finds nothing, so a
-        # side's gadget is built only when some start has one
+    # A trail's last edge moves its far end up when it is a non-member edge
+    # and down when it is a member edge, whichever side the trail began on.
+    add_sinks = {v for v, steps in enumerate(room) if steps > 0}
+    remove_sinks = {v for v, steps in enumerate(spare) if steps > 0}
+    gadget = None
+    # A start's degree moves one step the way its first edge's flip moves it,
+    # so a trail may close only at a start that can take two such steps.
+    for inside, ahead in ((False, room), (True, spare)):
+        # a start without an off-cycle edge on its side finds nothing, so the
+        # gadget is built only once some start has one
         starts = {
             v
             for v, r in zip(cycle.vertices, roles)
-            if r == role and any((e in current) == inside for e in host.incident[v])
+            if (r == "b") == inside
+            and any(e not in on_cycle and (e in current) == inside for e in graph.incident[v])
         }
         if not starts:
             continue
-        member = {e for e in host.edge_ids if e not in current} if inside else current.edge_set
-        # A start's degree moves one step the way its first edge's flip moves
-        # it; ``ahead[v]`` and ``behind[v]`` count the steps ``v`` can take
-        # that way and the other way, so a trail may close only at a start
-        # that can take two steps ahead.
-        ahead, behind = (spare, room) if inside else (room, spare)
-        add_sinks = {v for v, steps in enumerate(ahead) if steps > 0}
-        remove_sinks = {v for v, steps in enumerate(behind) if steps > 0}
-        gadget = Gadget(graph, host.edge_ids, member)
-        found = gadget.search(starts, add_sinks, remove_sinks, closes=lambda v: ahead[v] >= 2)
+        if gadget is None:
+            pool = [e for e in graph.edge_ids if e not in on_cycle]
+            gadget = Gadget(graph, pool, current.edge_set)
+        found = gadget.search(
+            starts, add_sinks, remove_sinks, lambda v: ahead[v] >= 2, first_inside=inside
+        )
         if found is not None:
             return found
     return None
@@ -180,18 +167,19 @@ def _alt_cycle(
     bounds: DegreeBounds,
     out: list[Move],
 ) -> None:
-    if not is_alternatingly_ab_tight(cycle, ctx, bounds):
+    roles = ab_tight_roles(cycle, ctx, bounds)
+    if roles is None:
         raise ContractError("cycle is not alternately tight in the current subgraph")
     if not bridge.edges or set(bridge.edges) & set(cycle.edges):
         raise ContractError("the bridge must be non-empty and share no edge with the cycle")
     v = bridge.vertices[0]
     role = "b" if bridge.edges[0] in ctx else "a"
-    roles_at_v = [r for u, r in zip(cycle.vertices, _pattern_roles(cycle, ctx, bounds)) if u == v]
+    roles_at_v = [r for u, r in zip(cycle.vertices, roles) if u == v]
     if not roles_at_v:
         raise ContractError(f"bridge starts at vertex {v}, which is not on the cycle")
     if role not in roles_at_v:
         raise ContractError(f"bridge's first edge does not move vertex {v} off its role's bound")
-    snapshot = ctx.copy()
+    before = len(out)
     tt = len(cycle)
     # An even bridge extends the cycle rooted on its own side and is flipped
     # back afterwards; an odd one is swept with all but the cycle's last edge,
@@ -205,4 +193,4 @@ def _alt_cycle(
         _elementary(concat(bridge.reversed(), loop.segment(0, tt - 1)), ctx, bounds, out)
         last = single_edge_trail(graph, loop.edges[-1], loop.vertices[tt - 1])
         _elementary(concat(last, bridge), ctx, bounds, out)
-    _assert_net_effect(snapshot, ctx, cycle, "alternately tight cycle reconfiguration")
+    _assert_net_effect(out[before:], cycle, "alternately tight cycle reconfiguration")

@@ -91,30 +91,29 @@ def find_augmenting_trail(
     return growing_trail(gadget, bounds, current)
 
 
-def is_alternatingly_ab_tight(cycle: Trail, current: Subgraph, bounds: DegreeBounds) -> bool:
-    """Whether the cycle's vertices alternate lower-tight / upper-tight.
+def ab_tight_roles(cycle: Trail, current: Subgraph, bounds: DegreeBounds) -> list[str] | None:
+    """Per-position roles of an alternately tight cycle, or None if it is not one.
 
-    Two phase patterns are possible (lower-tight on even positions or on odd
-    positions); either one qualifies. Only closed even-length trails have
-    this property.
+    A vertex takes role 'a' at its lower bound and 'b' at its upper bound
+    (exactly one of them), and the roles alternate around the cycle in
+    either phase. Only closed even-length trails have this property.
     """
     if not cycle.is_closed or len(cycle) % 2 != 0:
         raise ContractError("alternating tightness applies to closed even-length trails")
-    pattern_even_lower = True
-    pattern_even_upper = True
-    for i in range(len(cycle)):
-        v = cycle.vertices[i]
+    roles: list[str] = []
+    for v in cycle.vertices[:-1]:
         d = current.degrees[v]
         a_tight = d == bounds.lower[v]
-        b_tight = d == bounds.upper[v]
-        even = i % 2 == 0
-        if not ((a_tight == even) and (b_tight != even)):
-            pattern_even_lower = False
-        if not ((b_tight == even) and (a_tight != even)):
-            pattern_even_upper = False
-        if not (pattern_even_lower or pattern_even_upper):
-            return False
-    return pattern_even_lower or pattern_even_upper
+        role = "a" if a_tight else "b"
+        if a_tight == (d == bounds.upper[v]) or (roles and roles[-1] == role):
+            return None
+        roles.append(role)
+    return roles
+
+
+def is_alternatingly_ab_tight(cycle: Trail, current: Subgraph, bounds: DegreeBounds) -> bool:
+    """Whether the cycle's vertices alternate lower-tight / upper-tight."""
+    return ab_tight_roles(cycle, current, bounds) is not None
 
 
 def classify_trail(trail: Trail, current: Subgraph, bounds: DegreeBounds) -> TrailClass:

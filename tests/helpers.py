@@ -133,15 +133,21 @@ class EvenSet:
         return v in self.members
 
 
+def slack_of(current: Subgraph, bounds: DegreeBounds) -> set[int]:
+    """The vertices below their upper bound, where an escape trail ends."""
+    return {v for v in range(current.graph.n) if current.degrees[v] < bounds.upper[v]}
+
+
 def compute_even_set(graph: Graph, bounds: DegreeBounds, current: Subgraph) -> EvenSet:
     """The even set, from one escape-trail search per vertex at its upper bound."""
     members = set()
     gadget = Gadget(graph, graph.edge_ids, current.edge_set)
+    slack = slack_of(current, bounds)
     for v in range(graph.n):
         if current.degrees[v] < bounds.upper[v]:
             members.add(v)  # the empty trail already ends at spare capacity
         elif current.degrees[v] > bounds.lower[v] and _escape_trail(
-            graph, bounds, current, {v}, gadget
+            bounds, current, {v}, gadget, slack
         ) is not None:
             members.add(v)
     return EvenSet(frozenset(members))

@@ -103,6 +103,21 @@ def test_edited_gadget_tracks_outside_vertices(data):
     assert gadget.outside_vertices == {x for e in pool - member for x in g.edges[e]}
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_member_first_search_matches_the_complemented_gadget(data):
+    """A search whose first edge is a member edge finds the trail that a
+    fresh gadget around the pool's complement finds with the sinks swapped:
+    there a member edge first is the usual non-member edge first."""
+    g, gadget, pool, member = data.draw(edited_gadgets())
+    sources, add_sinks, remove_sinks = data.draw(terminals(g.n))
+    closing = data.draw(st.none() | st.sets(st.integers(0, g.n - 1)))
+    closes = None if closing is None else closing.__contains__
+    complement = Gadget(g, pool, pool - member)
+    want = complement.search(sources, remove_sinks, add_sinks, closes)
+    assert gadget.search(sources, add_sinks, remove_sinks, closes, first_inside=True) == want
+
+
 def search_with_retries(g, pool, member, sources, add_sinks, remove_sinks, closes):
     """The closing rule on fresh gadgets, in two phases: every source at once,
     then, when that closes at a start that cannot close, once per start
@@ -162,6 +177,17 @@ def test_search_applies_the_closing_rule_like_a_two_phase_reference(case):
     closes = closing.__contains__
     want = search_with_retries(g, pool, member, *terminals, closes)
     assert gadget.search(*terminals, closes) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(closing_cases())
+def test_member_first_closing_rule_matches_the_complemented_gadget(case):
+    """Where trails close, a member-first search applies the closing rule to
+    its remove sinks, as the complemented gadget does to its add sinks."""
+    g, gadget, pool, member, (sources, add_sinks, remove_sinks), closing = case
+    closes = closing.__contains__
+    want = Gadget(g, pool, pool - member).search(sources, add_sinks, remove_sinks, closes)
+    assert gadget.search(sources, remove_sinks, add_sinks, closes, first_inside=True) == want
 
 
 def growing_trail_over_every_vertex(g, pool, member, degrees, upper):

@@ -1,5 +1,8 @@
+import importlib
+import json
 import random
 import sys
+from pathlib import Path
 from types import CodeType
 
 from hypothesis import given, settings
@@ -16,6 +19,7 @@ from dcsreconf.decider import (
     decide_with_trace,
     peel,
 )
+from dcsreconf.instance_io import parse_instance
 from dcsreconf.obstructions import m_fixed_subgraph
 from dcsreconf.oracle import enumerate_ab_constrained, oracle_decide
 from dcsreconf.trail_type import Trail
@@ -280,6 +284,19 @@ def test_upper_tight_cycle_escape_at_slack_one():
     assert oracle_decide(i)
 
 
+def test_escapes_end_where_earlier_trails_left_room():
+    """The open even trail 5-6-7, peeled first, moves the room from 7 to 5, so
+    the upper-tight square's escape must end at 5: straight over 1-5, or on
+    through 2-7-6-5, past the vertex 7 that had room before."""
+    for route in ((1, 5), (2, 7)):
+        g = graph(8, [(5, 6), (6, 7), (0, 1), (1, 2), (2, 3), (3, 0), route])
+        i = inst(g, bounds(g, 0, 1), [0, 2, 4], [1, 3, 5], 1)
+        d, trace = decide_with_trace(i)
+        assert d.yes and verify_move_sequence(i, list(d.moves))
+        assert [entry.rule for entry in trace] == ["open-even", "tight-cycle-escape"]
+        assert oracle_decide(i)
+
+
 def test_escapes_in_large_hosts_keep_their_verdict_under_metamorphic_relations():
     """Upper-tight cycles with escape routes in hosts of 200-1,000 edges, past
     the oracle: swapping source and target and renaming vertices and edges
@@ -304,6 +321,32 @@ def test_escapes_in_large_hosts_keep_their_verdict_under_metamorphic_relations()
         swapped, renamed, wider = verdicts
         assert swapped.yes == renamed.yes == d.yes
         assert wider.yes or not d.yes
+
+
+def test_ten_thousand_edge_tight_cycle_hosts_get_their_expected_answers(monkeypatch):
+    """The benchmark's tight-cycle hosts at 10^4 edges, all four kinds: escape
+    and alt-yes decide Yes with moves that replay, locked and alt-no decide No
+    on the cycle kind that locks them."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    kinds = {
+        "escape": None,
+        "locked": LOCKED_B_TIGHT_CYCLE,
+        "alt-no": LOCKED_ALT_AB_TIGHT_CYCLE,
+        "alt-yes": None,
+    }
+    for kind, witness in kinds.items():
+        alt_half = 8 if kind.startswith("alt") else 0
+        case = workloads.tight_cycle_case(
+            random.Random(3), kind, 10_000, cycles=64, half=4, alt_half=alt_half
+        )
+        i = parse_instance(json.dumps(case.doc))
+        d = decide(i)
+        assert d.yes == case.expected, kind
+        if d.yes:
+            assert verify_move_sequence(i, list(d.moves))
+        else:
+            assert d.witness.kind == witness
 
 
 @st.composite

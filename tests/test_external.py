@@ -17,11 +17,12 @@ from dcsreconf.errors import ContractError, LockedCycleError
 from dcsreconf.external import (
     _alt_cycle,
     _btight_cycle,
+    _escape_trail,
     exists_unlocking_subgraph,
 )
 from dcsreconf.obstructions import m_fixed_subgraph
 from dcsreconf.oracle import oracle_min_k
-from dcsreconf.trail_type import Trail
+from dcsreconf.trail_type import Trail, alternates
 from dcsreconf.trails import is_alternatingly_ab_tight
 
 from helpers import (
@@ -36,12 +37,22 @@ from helpers import (
     on_copy,
     path_graph,
     random_bounds,
+    random_connected_graph,
+    slack_of,
     sub,
 )
 
 
 def square_trail():
     return Trail((0, 1, 2, 3, 0), (0, 1, 2, 3))
+
+
+def btight_moves(trail, current, b):
+    """``_btight_cycle``'s moves on a copy, with the whole-host gadget and
+    slack set that ``decide`` keeps between maximum subgraphs."""
+    g = current.graph
+    gadget = Gadget(g, g.edge_ids, current.edge_set)
+    return on_copy(_btight_cycle, trail, current, b, gadget=gadget, slack=slack_of(current, b))
 
 
 def test_even_set_empty_for_saturated_cycle():
@@ -96,8 +107,7 @@ def test_btight_cycle_with_pendant_escape():
     g = graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])
     b = bounds(g, 0, 1)
     current = sub(g, [0, 2])
-    gadget = Gadget(g, g.edge_ids, current.edge_set)
-    moves = on_copy(_btight_cycle, square_trail(), current, g, b, gadget=gadget)
+    moves = btight_moves(square_trail(), current, b)
     assert len(moves) >= 4  # the cycle itself plus the escape detour
     i = Instance(g, b, current, sub(g, [1, 3]), 1)
     assert verify_move_sequence(i, moves)
@@ -108,9 +118,8 @@ def test_btight_cycle_locked_when_isolated():
     g = cycle_graph(4)
     b = bounds(g, 0, 1)
     current = sub(g, [0, 2])
-    gadget = Gadget(g, g.edge_ids, current.edge_set)
     with pytest.raises(LockedCycleError):
-        on_copy(_btight_cycle, square_trail(), current, g, b, gadget=gadget)
+        btight_moves(square_trail(), current, b)
     assert oracle_min_k(g, b, sub(g, [0, 2]), sub(g, [1, 3])) == 2
 
 
@@ -118,9 +127,8 @@ def test_btight_cycle_rejects_vertex_below_cap():
     g = cycle_graph(4)
     b = DegreeBounds(g, [0] * 4, [1, 2, 1, 1])
     current = sub(g, [0, 2])
-    gadget = Gadget(g, g.edge_ids, current.edge_set)
     with pytest.raises(ContractError):
-        on_copy(_btight_cycle, square_trail(), current, g, b, gadget=gadget)
+        btight_moves(square_trail(), current, b)
 
 
 def test_btight_cycle_with_escape_reentering_the_cycle(monkeypatch):
@@ -133,11 +141,34 @@ def test_btight_cycle_with_escape_reentering_the_cycle(monkeypatch):
     current = sub(g, [0, 2, 4])
     crafted = Trail((0, 1, 2, 4, 5), (0, 1, 4, 5))
     monkeypatch.setattr(ext, "_escape_trail", lambda *args: crafted)
-    gadget = Gadget(g, g.edge_ids, current.edge_set)
-    moves = on_copy(_btight_cycle, square_trail(), current, g, b, gadget=gadget)
+    moves = btight_moves(square_trail(), current, b)
     target = sub(g, [1, 3, 4])
     i = Instance(g, b, current, target, 1)
     assert verify_move_sequence(i, moves)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_forward_escape_exists_iff_the_backward_search_finds_one(rng):
+    """The escape searched forward from the candidates exists exactly when a
+    search from the slack vertices back to them finds one, and it is an even
+    trail that leaves a candidate over a current edge and ends at slack."""
+    n = rng.randint(3, 8)
+    g = random_connected_graph(rng, n, rng.randint(n - 1, 12))
+    b = random_bounds(rng, g)
+    states = feasible_subsets(g, b)
+    assume(states)
+    current = rng.choice(states)
+    candidates = set(rng.sample(range(n), rng.randint(1, n)))
+    slack = slack_of(current, b)
+    escape = _escape_trail(b, current, candidates, Gadget(g, g.edge_ids, current.edge_set), slack)
+    goals = {v for v in candidates if current.degrees[v] > b.lower[v]}
+    backward = Gadget(g, g.edge_ids, current.edge_set).search(slack, set(), goals)
+    assert (escape is None) == (backward is None)
+    if escape is not None:
+        assert escape.vertices[0] in goals and escape.vertices[-1] in slack
+        assert len(escape) % 2 == 0 and escape.edges[0] in current
+        assert alternates(escape, current)
 
 
 def alt_tight_bounds(g):
@@ -377,8 +408,7 @@ def test_external_routines_restore_side_effects():
     b = DegreeBounds(g, [0] * 8, [2, 1, 1, 1, 2, 2, 2, 1])
     current = sub(g, [0, 2, 4, 6])
     trail = square_trail()
-    gadget = Gadget(g, g.edge_ids, current.edge_set)
-    moves = on_copy(_btight_cycle, trail, current, g, b, gadget=gadget)
+    moves = btight_moves(trail, current, b)
     after = current.copy()
     for m in moves:
         if m.kind == "add":

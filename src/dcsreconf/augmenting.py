@@ -30,12 +30,13 @@ trail can start or end, so a growing-trail search tests room there rather
 than at every vertex.
 
 ``growing_trail`` asks once whether a growing trail exists, with one search
-from every vertex with room. A peel loop instead takes its growing trails
-from ``growing_trails``: a cursor over one-edge trails, then one search per
-start in vertex order. Each moves past a start for good once it has no
-trail, which is exact because the pool only loses edges and room only
-shrinks, so the whole growing phase costs about what its trails reach plus
-one missed search per start.
+from every vertex with room. ``decider.peel`` and ``solver.maximum_dcs``
+instead take their growing trails from ``growing_trails``: a cursor over
+one-edge trails, then one search per start in vertex order, which moves past
+a start for good once it misses. Room only shrinks, whether a peel drops
+each trail from the pool or the maximum search flips it, so the whole
+growing phase costs about what its trails reach plus one missed search per
+start.
 
 Every trail search lets a trail end back at its own start only where that
 vertex can move two steps; ``Gadget.search`` owns that closing rule.
@@ -191,20 +192,25 @@ def growing_trail(gadget: Gadget, bounds: DegreeBounds, current: Subgraph) -> Tr
 
 
 def growing_trails(gadget: Gadget, bounds: DegreeBounds, current: Subgraph) -> Iterator[Trail]:
-    """The growing trails of a peel loop, one per resume, until none is left.
+    """The growing trails of a grow loop, one per resume, until none is left.
 
-    The gadget's member set must be ``current``. The caller flips each trail
-    into ``current`` and drops its edges from the pool before resuming, and
-    changes nothing else, so no edge left in the pool changes side. Each
-    trail is one ``growing_trail`` would accept; the generator is exhausted
-    exactly when ``growing_trail`` would return None.
+    The gadget's member set must be ``current``. Before resuming, the caller
+    flips each trail into ``current`` and then drops its edges from the pool
+    (``decider.peel``) or flips them in the gadget (``solver.maximum_dcs``),
+    and changes nothing else. Each trail is one ``growing_trail`` would
+    accept; the generator is exhausted exactly when ``growing_trail`` would
+    return None.
 
-    The pool only loses edges and a grown trail's flip raises the degree at
-    its two ends only, so the vertices with room only shrink. Hence a vertex
-    with no one-edge trail, or whose own search misses, never gets a trail
-    later (Edmonds 1965, as for augmenting paths); both cursors below move
-    past such a vertex for good. The room set is kept in step with the pool:
-    it changes only at the ends of each trail taken.
+    A trail's flip raises the degree at its two ends only, so room only
+    shrinks, and a start whose own search misses never gets a trail later.
+    With drops, the pool only loses edges and none changes side. With flips,
+    this is Edmonds' lemma (1965) that a vertex with no augmenting path has
+    none after an augmentation, which carries over through the b-matching
+    reduction since a growing trail moves degrees only at its ends. So the
+    search cursor below moves past a start for good once it misses. The
+    one-edge cursor before it only takes the cheap trails first: with flips,
+    a start it passed may get a one-edge trail later, which the search
+    cursor finds. The room set changes only at the ends of each trail taken.
     """
     degrees, upper = current.degrees, bounds.upper
     room = {v for v in gadget.outside_vertices if degrees[v] < upper[v]}
@@ -218,8 +224,8 @@ def growing_trails(gadget: Gadget, bounds: DegreeBounds, current: Subgraph) -> I
                 room.discard(v)
 
     # One-edge trails first, at each start in vertex order: the first outside
-    # port whose far end has room. While any one-edge trail is left, that is
-    # the trail the multi-source root expansion returns first.
+    # port whose far end has room. With drops, while any one-edge trail is
+    # left, that is the trail the multi-source root expansion returns first.
     for x in starts:
         while x in room:
             ports = gadget.outside_at[x]

@@ -63,9 +63,6 @@ class Graph:
         view.edge_ids = [e for e in self.edge_ids if e not in frozen]
         return view
 
-    def endpoints(self, e: int) -> tuple[int, int]:
-        return self.edges[e]
-
     def other_end(self, e: int, v: int) -> int:
         u, w = self.edges[e]
         if v == u:

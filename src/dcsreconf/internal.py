@@ -4,6 +4,8 @@ The workhorse is a splitter driven by a work stack (so trail length is not
 limited by the recursion limit): an even alternating trail is cut into
 smaller even pieces whose reconfiguration order is chosen so that every
 piece's entry conditions hold in the subgraph produced by the earlier pieces.
+A trail is checked once, where it enters synthesis; its pieces inherit
+alternation and "no pinned vertex", and orders are tested on end degrees.
 The base case is a two-edge trail handled by one paired remove/add (ordered
 by the middle vertex's upper-bound slack). An odd trail, growing or
 shrinking, is flipped by one routine (``_odd``) that hands even parts to the
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
+from typing import Iterable
 
 from .core import ADD, REMOVE, DegreeBounds, Move, Subgraph
 from .errors import (
@@ -53,6 +56,11 @@ def check_internal_conditions(
     for v in t.vertices:
         if bounds.lower[v] == bounds.upper[v]:
             return Violation("pinned-vertex", v)
+    return _degree_violation(t, current, bounds)
+
+
+def _degree_violation(t: Trail, current: Subgraph, bounds: DegreeBounds) -> Violation | None:
+    """The first degree condition an inside-first even trail fails, or None."""
     if not t.is_closed:
         if current.degrees[t.vertices[0]] == bounds.lower[t.vertices[0]]:
             return Violation("start-at-lower-bound", t.vertices[0])
@@ -85,37 +93,38 @@ def _emit(ctx: Subgraph, bounds: DegreeBounds, out: list[Move], kind: str, edge:
 
 
 def _first_valid_order(
-    parts: list[Trail], ctx: Subgraph, bounds: DegreeBounds
+    orders: Iterable[tuple[Trail, ...]], ctx: Subgraph, bounds: DegreeBounds
 ) -> tuple[Trail, ...]:
-    """First ordering whose pieces all pass their entry conditions in turn;
-    orderings go in lexicographic order, so the first piece leads if it can."""
-    for order in permutations(range(len(parts))):
-        done: list[Trail] = []
-        ok = True
-        for idx in order:
-            part = parts[idx]
-            if check_internal_conditions(part, ctx, bounds) is not None:
-                ok = False
+    """The first order whose pieces all pass their degree conditions in turn:
+    flipping an inside-first even piece moves only its start down a step and
+    its end up a step, so an order is tested by shifting those two degrees."""
+    degrees = ctx.degrees
+    for order in orders:
+        shifted: list[Trail] = []
+        for part in order:
+            t = inside_first(part, ctx)
+            if _degree_violation(t, ctx, bounds) is not None:
                 break
-            ctx.flip(part.edges)
-            done.append(part)
-        for part in reversed(done):
-            ctx.flip(part.edges)
-        if ok:
-            return tuple(parts[idx] for idx in order)
+            degrees[t.vertices[0]] -= 1
+            degrees[t.vertices[-1]] += 1
+            shifted.append(t)
+        for t in shifted:
+            degrees[t.vertices[0]] += 1
+            degrees[t.vertices[-1]] -= 1
+        if len(shifted) == len(order):
+            return tuple(order)
     raise SynthesisError("no admissible ordering of trail pieces")
 
 
 def _elementary(trail: Trail, ctx: Subgraph, bounds: DegreeBounds, out: list[Move]) -> None:
-    # Pieces are popped in trail order; a piece's split and order are chosen
-    # when it is popped, in the state the pieces before it left behind.
+    viol = check_internal_conditions(trail, ctx, bounds)
+    if viol is not None:
+        raise NotInternallyReconfigurableError(viol.condition, viol.vertex)
+    # Pieces are popped in trail order, each split when popped, in the state its
+    # order was tested in (what the pieces before it left), so none is rechecked.
     stack = [trail]
     while stack:
-        piece = stack.pop()
-        viol = check_internal_conditions(piece, ctx, bounds)
-        if viol is not None:
-            raise NotInternallyReconfigurableError(viol.condition, viol.vertex)
-        t = inside_first(piece, ctx)
+        t = inside_first(stack.pop(), ctx)
         if len(t) == 2:
             mid = t.vertices[1]
             if ctx.degrees[mid] == bounds.upper[mid]:
@@ -145,7 +154,7 @@ def _open_split(t: Trail, ctx: Subgraph, bounds: DegreeBounds) -> tuple[Trail, .
         parts.append(t.segment(0, pivot))
     if pivot + 2 < tt:
         parts.append(t.segment(pivot + 2, tt))
-    return _first_valid_order(parts, ctx, bounds)
+    return _first_valid_order(permutations(parts), ctx, bounds)  # the middle piece leads if it can
 
 
 def _closed_split(t: Trail, ctx: Subgraph, bounds: DegreeBounds) -> tuple[Trail, Trail]:
@@ -206,16 +215,7 @@ def _closed_split(t: Trail, ctx: Subgraph, bounds: DegreeBounds) -> tuple[Trail,
         if i is None:
             raise SynthesisError("lower-tight cycle scan failed despite valid conditions")
         candidates = [(t.segment(i, tt), t.segment(0, i)), (t.segment(0, i), t.segment(i, tt))]
-
-    for first, second in candidates:
-        if check_internal_conditions(first, ctx, bounds) is not None:
-            continue
-        ctx.flip(first.edges)
-        second_ok = check_internal_conditions(second, ctx, bounds) is None
-        ctx.flip(first.edges)
-        if second_ok:
-            return first, second
-    raise SynthesisError("no admissible split of the closed trail")
+    return _first_valid_order(candidates, ctx, bounds)
 
 
 def _even_position(t: Trail, predicate) -> int | None:
@@ -225,7 +225,9 @@ def _even_position(t: Trail, predicate) -> int | None:
     return None
 
 
-def _validate_odd(trail: Trail, ctx: Subgraph, bounds: DegreeBounds, grow: bool) -> None:
+def _odd(trail: Trail, ctx: Subgraph, bounds: DegreeBounds, out: list[Move], grow: bool) -> None:
+    """Flip an odd trail whose danglers lie outside ``ctx`` when ``grow`` (the
+    net effect adds one edge) and inside otherwise (it removes one)."""
     if len(trail) % 2 != 1:
         raise ContractError("odd-trail synthesis requires an odd trail")
     if not alternates(trail, ctx):
@@ -250,25 +252,20 @@ def _validate_odd(trail: Trail, ctx: Subgraph, bounds: DegreeBounds, grow: bool)
         room = bounds.upper[v] - ctx.degrees[v] if grow else ctx.degrees[v] - bounds.lower[v]
         if room < need:
             raise NotInternallyReconfigurableError(condition, v)
-
-
-def _odd(trail: Trail, ctx: Subgraph, bounds: DegreeBounds, out: list[Move], grow: bool) -> None:
-    """Flip an odd trail whose danglers lie outside ``ctx`` when ``grow`` (the
-    net effect adds one edge) and inside otherwise (it removes one)."""
     end_move = ADD if grow else REMOVE
+
+    def can_pivot(v: int) -> bool:  # can move one step against the flip's way
+        return ctx.degrees[v] > bounds.lower[v] if grow else ctx.degrees[v] < bounds.upper[v]
+    # Checked once: what remains after each even part passes too. It is an odd
+    # segment with a dangler first, so it alternates with no pinned vertex. The
+    # part's flip leaves the pivot, now an end, a step to move the flip's way,
+    # and spends a step at the old end it covers, no longer an end unless closed.
     while True:
-        _validate_odd(trail, ctx, bounds, grow)
         tt = len(trail)
         if tt == 1:
             _emit(ctx, bounds, out, end_move, trail.edges[0])
             return
-        pivot = None
-        for i in range(1, tt):
-            v = trail.vertices[i]
-            d = ctx.degrees[v]
-            if (d > bounds.lower[v]) if grow else (d < bounds.upper[v]):
-                pivot = i
-                break
+        pivot = next((i for i in range(1, tt) if can_pivot(trail.vertices[i])), None)
         if pivot is None:
             # every interior vertex sits at its lower bound (grow) or its
             # upper bound (shrink): lead with the first edge

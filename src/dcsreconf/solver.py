@@ -3,13 +3,15 @@
 Both phases run on the generic alternating-trail search: first, deficient
 vertices (below their lower bound) are repaired one unit at a time by trails
 that add net degree there without hurting anyone else; then the subgraph is
-grown by augmenting trails until none exists, which certifies maximality.
-Each phase keeps one whole-host gadget in step with the trails it flips.
+grown by the growing trails of ``augmenting.growing_trails``, the generator
+``decider.peel`` also takes its growing trails from, until none is left. One
+last search that finds nothing certifies maximality. Each phase keeps one
+whole-host gadget in step with the trails it flips.
 """
 
 from __future__ import annotations
 
-from .augmenting import Gadget, growing_trail
+from .augmenting import Gadget, growing_trail, growing_trails
 # Not called here; bound because the benchmark's traced run wraps this name
 # (``perfbench/tracer.py``, ``_WRAPS``).
 from .augmenting import find_alternating_trail  # noqa: F401
@@ -57,16 +59,11 @@ def augment_trail(
     return growing_trail(gadget, bounds, sub)
 
 
-def augment(
-    graph: Graph, bounds: DegreeBounds, sub: Subgraph, gadget: Gadget | None = None
-) -> Subgraph | None:
-    """One edge bigger and still feasible, or None iff ``sub`` is maximum.
-
-    ``gadget``, when given, spans the whole host around ``sub``.
-    """
+def augment(graph: Graph, bounds: DegreeBounds, sub: Subgraph) -> Subgraph | None:
+    """One edge bigger and still feasible, or None iff ``sub`` is maximum."""
     if not is_ab_constrained(sub, bounds):
         raise ContractError("augment requires a feasible subgraph")
-    trail = augment_trail(graph, bounds, sub, gadget)
+    trail = augment_trail(graph, bounds, sub)
     if trail is None:
         return None
     out = sub.copy()
@@ -91,10 +88,12 @@ def maximum_dcs(graph: Graph, bounds: DegreeBounds) -> Subgraph | None:
     if sub is None:
         return None
     gadget = Gadget(graph, graph.edge_ids, sub.edge_set)
-    while True:
-        bigger = augment(graph, bounds, sub, gadget)
-        if bigger is None:
-            return sub
-        for e in sub.edge_set ^ bigger.edge_set:
+    # Each growing trail is flipped in the gadget rather than dropped; see
+    # ``growing_trails`` for why its cursors stay exact.
+    for trail in growing_trails(gadget, bounds, sub):
+        sub.flip(trail.edges)
+        for e in trail.edges:
             gadget.flip(e)
-        sub = bigger
+    if not is_ab_constrained(sub, bounds) or growing_trail(gadget, bounds, sub) is not None:
+        raise SynthesisError("growing phase stopped short of a maximum subgraph")
+    return sub

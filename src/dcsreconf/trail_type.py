@@ -47,12 +47,6 @@ class Trail:
         es = self.edges[j:] + self.edges[:j]
         return Trail(vs, es)
 
-    def validate_against(self, graph: Graph) -> None:
-        for i, e in enumerate(self.edges):
-            u, v = graph.edges[e]
-            if {self.vertices[i], self.vertices[i + 1]} != {u, v}:
-                raise ContractError(f"trail edge {e} does not join positions {i},{i + 1}")
-
 
 def concat(first: Trail, second: Trail) -> Trail:
     """Join two trails sharing first's end vertex; edges must stay distinct."""

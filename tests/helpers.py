@@ -8,6 +8,7 @@ from functools import lru_cache
 
 from dcsreconf.augmenting import Gadget, find_alternating_trail
 from dcsreconf.core import DegreeBounds, Graph, Instance, Move, Subgraph
+from dcsreconf.errors import ContractError
 from dcsreconf.external import _escape_trail
 from dcsreconf.oracle import enumerate_ab_constrained
 from dcsreconf.trail_type import Trail
@@ -33,6 +34,14 @@ def inst(g: Graph, b: DegreeBounds, source, target, k: int) -> Instance:
     instance = Instance(g, b, sub(g, source), sub(g, target), k)
     instance.validate()
     return instance
+
+
+def validate_trail(trail: Trail, g: Graph) -> None:
+    """Each trail edge joins the trail's vertices on either side of it in ``g``."""
+    for i, e in enumerate(trail.edges):
+        u, v = g.edges[e]
+        if {trail.vertices[i], trail.vertices[i + 1]} != {u, v}:
+            raise ContractError(f"trail edge {e} does not join positions {i},{i + 1}")
 
 
 def flipped(current: Subgraph, trail) -> Subgraph:

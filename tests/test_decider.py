@@ -41,6 +41,7 @@ from helpers import (
     relabelled,
     sparse_connected_graph,
     sub,
+    validate_trail,
 )
 
 
@@ -268,7 +269,7 @@ def test_equal_size_detour_freezes_cycle_outside_difference(monkeypatch):
     # names the input's edges
     assert trace
     for entry in trace:
-        entry.trail.validate_against(i.graph)
+        validate_trail(entry.trail, i.graph)
         assert set(entry.trail.edges) <= {4, 5, 6}
 
 
@@ -377,7 +378,7 @@ def test_property_decider_matches_oracle(instance):
     decision, trace = decide_with_trace(instance)
     assert decision.yes == oracle_decide(instance)
     for entry in trace:
-        entry.trail.validate_against(instance.graph)
+        validate_trail(entry.trail, instance.graph)
 
 
 def test_no_witness_cycles_lie_in_the_difference():
@@ -409,18 +410,20 @@ def long_path_swap(m: int) -> Instance:
 
 
 def test_long_path_swap_does_not_exhaust_the_stack():
-    i = long_path_swap(1200)
-    d = decide(i)
-    assert d.yes
-    assert verify_move_sequence(i, list(d.moves))
+    for m in (1200, 6000):
+        i = long_path_swap(m)
+        d = decide(i)
+        assert d.yes
+        assert verify_move_sequence(i, list(d.moves))
 
 
 def test_long_upper_tight_cycle_swap_does_not_exhaust_the_stack():
-    g = cycle_graph(1200)
-    i = inst(g, bounds(g, 0, 1), range(0, 1200, 2), range(1, 1200, 2), 2)
-    d = decide(i)
-    assert d.yes
-    assert verify_move_sequence(i, list(d.moves))
+    for m in (1200, 6000):
+        g = cycle_graph(m)
+        i = inst(g, bounds(g, 0, 1), range(0, m, 2), range(1, m, 2), 2)
+        d = decide(i)
+        assert d.yes
+        assert verify_move_sequence(i, list(d.moves))
 
 
 def peel_loop_cases():

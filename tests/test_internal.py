@@ -1,5 +1,6 @@
 import random
 from collections import deque
+from itertools import permutations
 
 import pytest
 
@@ -18,19 +19,32 @@ from dcsreconf.errors import (
     ContractError,
     NeedsK2Error,
     NotInternallyReconfigurableError,
+    SynthesisError,
 )
 from dcsreconf.internal import (
     _closed_even,
+    _degree_violation,
     _elementary,
+    _first_valid_order,
     _odd_grow,
     _odd_shrink,
     check_internal_conditions,
 )
 from dcsreconf.oracle import enumerate_ab_constrained
-from dcsreconf.trail_type import Trail
+from dcsreconf.trail_type import Trail, inside_first
 from dcsreconf.trails import classify_trail, TrailClass
 
-from helpers import bounds, cycle_graph, flipped, graph, on_copy, path_graph, random_bounds, sub
+from helpers import (
+    bounds,
+    cycle_graph,
+    flipped,
+    graph,
+    on_copy,
+    path_graph,
+    random_bounds,
+    random_bounds_instance,
+    sub,
+)
 
 from test_trails import figure_like_two_loop_host
 
@@ -380,3 +394,52 @@ def test_condition_violations_are_genuine_obstructions():
         checked += 1
         assert not _elementary_pair_reachable(host, b, state, trail), violation
     assert checked >= 3
+
+
+def test_piece_orders_are_tested_on_end_degrees():
+    """Even peeled trails cut at even positions into two or three pieces, in
+    every order: shifting the earlier pieces' end degrees gives each piece
+    the verdict that flipping their edges gives, and ``_first_valid_order``
+    accepts an order exactly when every piece passes in turn, leaving the
+    subgraph's edges and degrees as they were."""
+    rng = random.Random(73)
+    trails = orders = accepted = 0
+    while trails < 100:
+        i = random_bounds_instance(rng)
+        b = i.bounds
+        # long even trails without a pinned vertex are rare on these hosts,
+        # so each host is peeled between several pairs of its states
+        states = enumerate_ab_constrained(i.graph, b)
+        pairs = [(i.source, i.target)] + [rng.sample(states, 2) for _ in range(40)]
+        for source, target in pairs:
+            state = source.copy()
+            for trail, _ in peel(i.graph, b, state, target):
+                tt = len(trail)
+                pinned = any(b.lower[v] == b.upper[v] for v in trail.vertices)
+                if tt % 2 == 0 and tt >= 4 and not pinned:
+                    trails += 1
+                    cuts = sorted(rng.sample(range(2, tt, 2), min(rng.randint(1, 2), tt // 2 - 1)))
+                    pieces = [trail.segment(lo, hi) for lo, hi in zip([0] + cuts, cuts + [tt])]
+                    for order in permutations(pieces):
+                        orders += 1
+                        by_flips, by_shifts = state.copy(), state.copy()
+                        passes = True
+                        for piece in order:
+                            want = check_internal_conditions(piece, by_flips, b)
+                            t = inside_first(piece, by_shifts)
+                            assert _degree_violation(t, by_shifts, b) == want
+                            passes = passes and want is None
+                            by_flips.flip(piece.edges)
+                            by_shifts.degrees[t.vertices[0]] -= 1
+                            by_shifts.degrees[t.vertices[-1]] += 1
+                            assert by_shifts.degrees == by_flips.degrees
+                        ctx = state.copy()
+                        try:
+                            got = _first_valid_order([order], ctx, b)
+                        except SynthesisError:
+                            got = None
+                        assert got == (order if passes else None)
+                        assert ctx.edge_set == state.edge_set and ctx.degrees == state.degrees
+                        accepted += passes
+                state.flip(trail.edges)
+    assert orders > 200 and 0 < accepted < orders

@@ -20,6 +20,7 @@ from helpers import (
     feasible_subsets,
     graph,
     graphs_up_to_iso,
+    loose_instance,
     path_graph,
     random_bounds,
     random_connected_graph,
@@ -165,3 +166,25 @@ def test_feasible_subgraph_matches_fresh_gadget_repairs():
     got = feasible_subgraph(g, b)
     assert want is not None and got is not None and got.edge_set == want.edge_set
     assert sum(b.lower) > 500  # many units of deficiency were repaired
+
+
+def maximum_by_repeated_augment(g, b):
+    """The reference: repair, then one fresh ``augment`` per edge gained."""
+    best = feasible_subgraph(g, b)
+    while best is not None and (bigger := augment(g, b, best)) is not None:
+        best = bigger
+    return best
+
+
+def test_maximum_matches_repeated_augment_on_loose_hosts():
+    """The growing phase that flips its trails in one kept gadget reaches the
+    size of the step-by-step loop on loose hosts of 500 to 2,000 edges."""
+    rng = random.Random(67)
+    for m in (500, 1000, 2000):
+        i = loose_instance(rng, m // 3, m)
+        want = maximum_by_repeated_augment(i.graph, i.bounds)
+        got = maximum_dcs(i.graph, i.bounds)
+        assert want is not None and got is not None
+        assert len(got) == len(want)
+        assert is_ab_constrained(got, i.bounds)
+        assert is_maximum(i.graph, i.bounds, got)

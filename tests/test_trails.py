@@ -27,6 +27,7 @@ from helpers import (
     random_bounds,
     random_bounds_instance,
     sub,
+    validate_trail,
 )
 
 
@@ -138,7 +139,7 @@ def test_engine_agrees_with_exhaustive_search():
             f"trial {trial}: engine={'hit' if got else 'miss'} brute={'hit' if want else 'miss'}"
         )
         if got is not None:
-            got.validate_against(g)
+            validate_trail(got, g)
             assert set(got.edges) <= set(pool)
             assert got.edges[0] not in member
             assert got.vertices[0] in sources

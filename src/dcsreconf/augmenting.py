@@ -18,16 +18,17 @@ ports at a source on the first edge's side, outside unless the caller sets
 ``first_inside``; tau to the outside ports at an add sink and the member
 ports at a remove sink, whichever side the trail starts on. The search tests
 each port for that as it becomes outer. One gadget serves every search of a
-loop: ``drop`` takes an edge out of the pool, ``flip`` moves it to the other
-side, and each search resets only the nodes it reached.
-``find_alternating_trail`` is the one-shot form.
+loop: ``drop`` takes an edge out of the pool, ``restore`` puts it back,
+``flip`` moves it to the other side, and each search resets only the nodes
+it reached. ``find_alternating_trail`` is the one-shot form.
 
 A search pays for what it finds: it returns as soon as it queues a port at
 a sink, without expanding the ports queued before it, so a short trail costs
-about as much as the ports the search queues on the way. A gadget also keeps
-the set of vertices with an outside port, the only vertices where a growing
-trail can start or end, so a growing-trail search tests room there rather
-than at every vertex.
+about as much as the ports the search queues on the way.
+
+``Ends`` holds where a trail around a subgraph may end, kept in step at each
+flipped trail's two ends, and the one closing rule: a trail may end back at
+its own start only where that vertex can move two steps.
 
 ``growing_trail`` asks once whether a growing trail exists, with one search
 from every vertex with room. ``decider.peel`` and ``solver.maximum_dcs``
@@ -37,9 +38,6 @@ a start for good once it misses. Room only shrinks, whether a peel drops
 each trail from the pool or the maximum search flips it, so the whole
 growing phase costs about what its trails reach plus one missed search per
 start.
-
-Every trail search lets a trail end back at its own start only where that
-vertex can move two steps; ``Gadget.search`` owns that closing rule.
 """
 
 from __future__ import annotations
@@ -59,8 +57,7 @@ class Gadget:
 
     Node ``2 + 2j`` is the port of the pool's ``j``-th edge (in index order)
     at its first endpoint and ``3 + 2j`` the one at its second; the numbering
-    stays fixed when edges are dropped or flipped. ``outside_vertices`` holds
-    the vertices with at least one outside port.
+    stays fixed when edges are dropped, restored or flipped.
     """
 
     def __init__(self, graph: Graph, pool: Iterable[int], member: set[int]):
@@ -75,7 +72,6 @@ class Gadget:
             (inside_at if inside[port] else outside_at)[vertex_of[port]].append(port)
         self.vertex_of, self.inside = vertex_of, inside
         self.inside_at, self.outside_at = inside_at, outside_at
-        self.outside_vertices = {x for x, ports in enumerate(outside_at) if ports}
         self.match = [-1, -1] + [p ^ 1 for p in range(2, n_nodes)]
         self.parent = [-1] * n_nodes
         self.base = list(range(n_nodes))
@@ -89,6 +85,12 @@ class Gadget:
         for port in (2 + 2 * j, 3 + 2 * j):
             self._unlink(port)
 
+    def restore(self, e: int) -> None:
+        """Put the dropped edge ``e`` back into the pool, on the side it left from."""
+        j = self.index[e] = bisect_left(self.edges, e)
+        for port in (2 + 2 * j, 3 + 2 * j):
+            insort(self._side_list(port), port)
+
     def flip(self, e: int) -> None:
         """Move edge ``e`` to the other side of the member set."""
         j = self.index[e]
@@ -96,8 +98,6 @@ class Gadget:
             self._unlink(port)
             self.inside[port] = not self.inside[port]
             insort(self._side_list(port), port)
-            if not self.inside[port]:
-                self.outside_vertices.add(self.vertex_of[port])
 
     def _side_list(self, port: int) -> list[int]:
         at = self.inside_at if self.inside[port] else self.outside_at
@@ -106,8 +106,6 @@ class Gadget:
     def _unlink(self, port: int) -> None:
         ports = self._side_list(port)
         del ports[bisect_left(ports, port)]
-        if not ports and not self.inside[port]:
-            self.outside_vertices.discard(self.vertex_of[port])
 
     def search(
         self,
@@ -176,6 +174,43 @@ def find_alternating_trail(
     return Gadget(graph, pool, member).search(sources, add_sinks, remove_sinks)
 
 
+class Ends:
+    """Where a trail alternating around ``current`` may end, kept in step with it.
+
+    A trail's last edge moves its far end up when it is a non-member edge and
+    down when it is a member edge, so the add sinks of every search around
+    ``current`` are ``room`` (below the upper bound) and its remove sinks
+    ``spare`` (above the lower bound). Call ``settle`` after each flip.
+    """
+
+    def __init__(self, current: Subgraph, bounds: DegreeBounds):
+        self.degrees, self.lower, self.upper = current.degrees, bounds.lower, bounds.upper
+        self.room = {v for v, (d, b) in enumerate(zip(self.degrees, self.upper)) if d < b}
+        self.spare = {v for v, (d, a) in enumerate(zip(self.degrees, self.lower)) if d > a}
+
+    def settle(self, trail: Trail) -> None:
+        """Re-test the ends of a trail just flipped: its flip moves degrees there alone."""
+        degrees, lower, upper = self.degrees, self.lower, self.upper
+        room, spare = self.room, self.spare
+        for v in (trail.vertices[0], trail.vertices[-1]):
+            if degrees[v] < upper[v]:
+                room.add(v)
+            else:
+                room.discard(v)
+            if degrees[v] > lower[v]:
+                spare.add(v)
+            else:
+                spare.discard(v)
+
+    def closes(self, first_inside: bool) -> Callable[[int], bool]:
+        """Where a trail may end back at its start: a start whose degree can
+        take two steps the way its first edge's flip moves it."""
+        degrees, lower, upper = self.degrees, self.lower, self.upper
+        if first_inside:
+            return lambda v: degrees[v] - 2 >= lower[v]
+        return lambda v: degrees[v] + 2 <= upper[v]
+
+
 def growing_trail(gadget: Gadget, bounds: DegreeBounds, current: Subgraph) -> Trail | None:
     """A trail in the gadget's pool whose flip grows ``current`` by one edge.
 
@@ -184,11 +219,8 @@ def growing_trail(gadget: Gadget, bounds: DegreeBounds, current: Subgraph) -> Tr
     ends coincide, that vertex needs room for two. Returns None when no such
     trail exists.
     """
-    degrees, upper = current.degrees, bounds.upper
-    # Only a vertex with a non-member edge in the pool can start or end a
-    # growing trail, so room is tested there alone.
-    room = {v for v in gadget.outside_vertices if degrees[v] < upper[v]}
-    return gadget.search(room, room, closes=lambda v: degrees[v] + 2 <= upper[v])
+    ends = Ends(current, bounds)
+    return gadget.search(ends.room, ends.room, closes=ends.closes(False))
 
 
 def growing_trails(gadget: Gadget, bounds: DegreeBounds, current: Subgraph) -> Iterator[Trail]:
@@ -210,18 +242,13 @@ def growing_trails(gadget: Gadget, bounds: DegreeBounds, current: Subgraph) -> I
     search cursor below moves past a start for good once it misses. The
     one-edge cursor before it only takes the cheap trails first: with flips,
     a start it passed may get a one-edge trail later, which the search
-    cursor finds. The room set changes only at the ends of each trail taken.
+    cursor finds.
     """
-    degrees, upper = current.degrees, bounds.upper
-    room = {v for v in gadget.outside_vertices if degrees[v] < upper[v]}
-    starts = sorted(room)
+    ends = Ends(current, bounds)
+    room, closes = ends.room, ends.closes(False)
+    # Only a vertex with a non-member edge in the pool can start a growing trail.
+    starts = sorted(v for v in room if gadget.outside_at[v])
     edges, vertex_of, match = gadget.edges, gadget.vertex_of, gadget.match
-
-    def settle(trail: Trail) -> None:
-        """Take the ends of the trail just flipped out of ``room`` once full."""
-        for v in (trail.vertices[0], trail.vertices[-1]):
-            if degrees[v] >= upper[v]:
-                room.discard(v)
 
     # One-edge trails first, at each start in vertex order: the first outside
     # port whose far end has room. With drops, while any one-edge trail is
@@ -234,16 +261,16 @@ def growing_trails(gadget: Gadget, bounds: DegreeBounds, current: Subgraph) -> I
                 break
             trail = Trail((x, vertex_of[far]), (edges[(far - 2) >> 1],))
             yield trail
-            settle(trail)
+            ends.settle(trail)
     # Then one search from each start in vertex order, until it misses or the
     # start has no room left.
     for x in starts:
         while x in room:
-            trail = gadget.search({x}, room, closes=lambda v: degrees[v] + 2 <= upper[v])
+            trail = gadget.search({x}, room, closes=closes)
             if trail is None:
                 break
             yield trail
-            settle(trail)
+            ends.settle(trail)
 
 
 def _decode(gadget: Gadget, node_path: list[int]) -> Trail:

@@ -11,15 +11,16 @@ with no further search. At slack 1 with equal sizes the procedure
 either works between maximum subgraphs (where locked upper-tight cycles are
 conclusive) or routes through a one-edge augmentation of the target. Between
 maximum subgraphs one whole-host gadget, built once, answers the maximality
-test and then every escape search, flipped with each peeled trail. Every Yes
-answer is replayed through the verifier before being returned.
+test and then every escape and unlock search, flipped with each peeled trail;
+elsewhere it is built at the first alternately tight cycle. Every Yes answer
+is replayed through the verifier before being returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .augmenting import Gadget, growing_trails
+from .augmenting import Ends, Gadget, growing_trails
 from .core import (
     DegreeBounds,
     Graph,
@@ -235,11 +236,12 @@ def _process(inst: Instance, trace: list[TraceEntry], host: Gadget | None = None
     ctx = inst.source.copy()
     out: list[Move] = []
     # Every rule's net effect is exactly its trail's flip, so ``ctx`` is in
-    # step with ``peel``, and ``host`` (flipping each trail) serves every
-    # escape search. ``host`` spans the whole host and is given exactly
-    # between maximum subgraphs at slack 1, with the slack set where escapes end.
-    if host is not None:
-        slack = {v for v in range(graph.n) if ctx.degrees[v] < bounds.upper[v]}
+    # step with ``peel``, and the whole-host ``host`` and its ``ends``, kept in
+    # step with each trail, serve every escape and unlock search. ``host`` is
+    # given exactly between maximum subgraphs at slack 1, where upper-tight
+    # cycles escape; else both are built at the first alternately tight cycle.
+    escapes = host is not None
+    ends = Ends(ctx, bounds) if escapes else None
     for trail, cls in peel(graph, bounds, ctx, inst.target):
         before = len(out)
         if cls is TrailClass.M_AUGMENTING:
@@ -258,9 +260,9 @@ def _process(inst: Instance, trace: list[TraceEntry], host: Gadget | None = None
                 _elementary(trail, ctx, bounds, out)
                 rule = "open-even"
         elif cls is TrailClass.B_TIGHT_CYCLE:
-            if host is not None:
+            if escapes:
                 try:
-                    _btight_cycle(trail, ctx, bounds, out, host, slack)
+                    _btight_cycle(trail, ctx, bounds, out, host, ends)
                     rule = "tight-cycle-escape"
                 except LockedCycleError:
                     return Decision.reject(
@@ -274,7 +276,10 @@ def _process(inst: Instance, trace: list[TraceEntry], host: Gadget | None = None
                 _closed_even(trail, ctx, bounds, out, allow_deep_dip=True)
                 rule = "tight-cycle-dip"
         else:  # alternately tight cycle
-            bridge = exists_unlocking_subgraph(trail, ctx, graph, bounds)
+            if host is None:
+                host = Gadget(graph, graph.edge_ids, ctx.edge_set)
+                ends = Ends(ctx, bounds)
+            bridge = exists_unlocking_subgraph(trail, ctx, bounds, host, ends)
             if bridge is None:
                 return Decision.reject(
                     Witness(LOCKED_ALT_AB_TIGHT_CYCLE, cycle=trail, context="any slack")
@@ -285,11 +290,7 @@ def _process(inst: Instance, trace: list[TraceEntry], host: Gadget | None = None
         if host is not None:
             for e in trail.edges:
                 host.flip(e)
-            # A flip moves degrees only at the trail's two ends, so the slack
-            # set changes there alone.
-            ends = (trail.vertices[0], trail.vertices[-1])
-            slack.difference_update(ends)
-            slack.update(v for v in ends if ctx.degrees[v] < bounds.upper[v])
+            ends.settle(trail)
     if ctx != inst.target:
         raise SynthesisError("trail processing did not arrive at the target")
     return Decision.accept(out)

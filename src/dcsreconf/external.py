@@ -5,14 +5,15 @@ vertex can temporarily shed an edge through an escape trail ending at a
 vertex with spare capacity; an alternately tight cycle can only flip if an
 unlocking trail exists: one that uses no cycle edge, leaves a cycle vertex
 over the edge that moves it off its role's bound, and ends where the far end
-can take the change. Both trails are searched forward from the cycle, on a
-gadget around the current subgraph, with the side of the first edge set per
-search. Both routines restore every off-cycle side effect.
+can take the change. Both trails are searched forward from the cycle, with
+the side of the first edge set per search, on the caller's whole-host gadget
+and ``augmenting.Ends`` around the current subgraph. Both routines restore
+every off-cycle side effect.
 """
 
 from __future__ import annotations
 
-from .augmenting import Gadget
+from .augmenting import Ends, Gadget
 from .core import DegreeBounds, Graph, Move, Subgraph
 from .errors import ContractError, LockedCycleError, SynthesisError
 from .internal import _elementary
@@ -24,17 +25,9 @@ from .trail_type import Trail, concat, single_edge_trail
 from .trails import ab_tight_roles
 
 
-def _escape_trail(
-    bounds: DegreeBounds, current: Subgraph, candidates: set[int], gadget: Gadget, slack: set[int]
-) -> Trail | None:
-    """Even alternating trail from a candidate, first edge inside, ending at slack.
-
-    ``gadget`` spans the whole host around ``current`` and ``slack`` holds
-    the vertices below their upper bound; the caller keeps both in step with
-    ``current``.
-    """
-    goals = {v for v in candidates if current.degrees[v] > bounds.lower[v]}
-    return gadget.search(goals, slack, first_inside=True)
+def _escape_trail(candidates: set[int], gadget: Gadget, ends: Ends) -> Trail | None:
+    """Even alternating trail from a candidate, first edge inside, ending with room."""
+    return gadget.search(candidates & ends.spare, ends.room, first_inside=True)
 
 
 def _rooted_loop(cycle: Trail, root: int, first_inside: bool, current: Subgraph) -> Trail:
@@ -75,14 +68,14 @@ def _btight_cycle(
     bounds: DegreeBounds,
     out: list[Move],
     gadget: Gadget,
-    slack: set[int],
+    ends: Ends,
 ) -> None:
     if not cycle.is_closed or len(cycle) % 2 != 0:
         raise ContractError("closed even-length cycle expected")
     for v in cycle.vertices:
         if ctx.degrees[v] != bounds.upper[v]:
             raise ContractError(f"cycle vertex {v} is not at its upper bound")
-    escape = _escape_trail(bounds, ctx, set(cycle.vertices), gadget, slack)
+    escape = _escape_trail(set(cycle.vertices), gadget, ends)
     if escape is None:
         raise LockedCycleError(cycle, "upper-tight")
     before = len(out)
@@ -108,7 +101,7 @@ def _btight_cycle(
 
 
 def exists_unlocking_subgraph(
-    cycle: Trail, current: Subgraph, graph: Graph, bounds: DegreeBounds
+    cycle: Trail, current: Subgraph, bounds: DegreeBounds, gadget: Gadget, ends: Ends
 ) -> Trail | None:
     """A trail whose flip unlocks an alternately tight cycle, or None if it is locked.
 
@@ -120,43 +113,29 @@ def exists_unlocking_subgraph(
     breaks the pattern: their symmetric difference splits into alternating
     trails, and the one leaving a broken vertex is such a trail.
 
-    One gadget around ``current`` over the off-cycle edges serves both
-    roles: a-role starts are searched first, then b-role starts with a member
-    edge first.
+    ``gadget`` and ``ends`` span the whole host around ``current``. The
+    cycle's edges leave the gadget for the two searches (a-role starts, then
+    b-role starts with a member edge first) and come back before returning.
     """
     roles = ab_tight_roles(cycle, current, bounds)
     if roles is None:
         raise ContractError("cycle is not alternately tight in the current subgraph")
-    on_cycle = set(cycle.edges)
-    room = [b - d for b, d in zip(bounds.upper, current.degrees)]
-    spare = [d - a for d, a in zip(current.degrees, bounds.lower)]
-    # A trail's last edge moves its far end up when it is a non-member edge
-    # and down when it is a member edge, whichever side the trail began on.
-    add_sinks = {v for v, steps in enumerate(room) if steps > 0}
-    remove_sinks = {v for v, steps in enumerate(spare) if steps > 0}
-    gadget = None
-    # A start's degree moves one step the way its first edge's flip moves it,
-    # so a trail may close only at a start that can take two such steps.
-    for inside, ahead in ((False, room), (True, spare)):
-        # a start without an off-cycle edge on its side finds nothing, so the
-        # gadget is built only once some start has one
-        starts = {
-            v
-            for v, r in zip(cycle.vertices, roles)
-            if (r == "b") == inside
-            and any(e not in on_cycle and (e in current) == inside for e in graph.incident[v])
-        }
-        if not starts:
-            continue
-        if gadget is None:
-            pool = [e for e in graph.edge_ids if e not in on_cycle]
-            gadget = Gadget(graph, pool, current.edge_set)
-        found = gadget.search(
-            starts, add_sinks, remove_sinks, lambda v: ahead[v] >= 2, first_inside=inside
-        )
-        if found is not None:
-            return found
-    return None
+    for e in cycle.edges:
+        gadget.drop(e)
+    try:
+        for inside, ports_at in ((False, gadget.outside_at), (True, gadget.inside_at)):
+            # a start finds nothing without an off-cycle edge on its side
+            starts = {v for v, r in zip(cycle.vertices, roles) if (r == "b") == inside}
+            starts = {v for v in starts if ports_at[v]}
+            found = gadget.search(
+                starts, ends.room, ends.spare, ends.closes(inside), first_inside=inside
+            )
+            if found is not None:
+                return found
+        return None
+    finally:
+        for e in cycle.edges:
+            gadget.restore(e)
 
 
 def _alt_cycle(

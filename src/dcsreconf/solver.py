@@ -6,12 +6,12 @@ that add net degree there without hurting anyone else; then the subgraph is
 grown by the growing trails of ``augmenting.growing_trails``, the generator
 ``decider.peel`` also takes its growing trails from, until none is left. One
 last search that finds nothing certifies maximality. Each phase keeps one
-whole-host gadget in step with the trails it flips.
+whole-host gadget, and repairs an ``Ends``, in step with the trails flipped.
 """
 
 from __future__ import annotations
 
-from .augmenting import Gadget, growing_trail, growing_trails
+from .augmenting import Ends, Gadget, growing_trail, growing_trails
 # Not called here; bound because the benchmark's traced run wraps this name
 # (``perfbench/tracer.py``, ``_WRAPS``).
 from .augmenting import find_alternating_trail  # noqa: F401
@@ -24,26 +24,18 @@ def feasible_subgraph(graph: Graph, bounds: DegreeBounds) -> Subgraph | None:
     """Some subgraph within the bounds, or None when the lower bounds are unsatisfiable."""
     sub = Subgraph(graph)
     gadget = Gadget(graph, graph.edge_ids, sub.edge_set)
-    degrees, lower, upper = sub.degrees, bounds.lower, bounds.upper
-    room = {w for w in range(graph.n) if degrees[w] < upper[w]}
-    spare = {w for w in range(graph.n) if degrees[w] > lower[w]}
+    ends = Ends(sub, bounds)
     # A repair moves the degree only at its ends and puts no vertex below its
     # lower bound, so repairing in vertex order repairs the first deficient one.
     for v in range(graph.n):
-        while degrees[v] < lower[v]:
-            trail = gadget.search({v}, room, spare, closes=lambda x: degrees[x] + 2 <= upper[x])
+        while sub.degrees[v] < bounds.lower[v]:
+            trail = gadget.search({v}, ends.room, ends.spare, ends.closes(False))
             if trail is None:
                 return None
             sub.flip(trail.edges)
             for e in trail.edges:
                 gadget.flip(e)
-            for x in (trail.vertices[0], trail.vertices[-1]):
-                room.discard(x)
-                spare.discard(x)
-                if degrees[x] < upper[x]:
-                    room.add(x)
-                if degrees[x] > lower[x]:
-                    spare.add(x)
+            ends.settle(trail)
     return sub
 
 

@@ -6,12 +6,13 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from dcsreconf.augmenting import Gadget, find_alternating_trail
+from dcsreconf.augmenting import Ends, Gadget, find_alternating_trail
 from dcsreconf.core import DegreeBounds, Graph, Instance, Move, Subgraph
 from dcsreconf.errors import ContractError
 from dcsreconf.external import _escape_trail
 from dcsreconf.oracle import enumerate_ab_constrained
 from dcsreconf.trail_type import Trail
+from dcsreconf.trails import ab_tight_roles
 
 
 def graph(n: int, edges) -> Graph:
@@ -142,22 +143,15 @@ class EvenSet:
         return v in self.members
 
 
-def slack_of(current: Subgraph, bounds: DegreeBounds) -> set[int]:
-    """The vertices below their upper bound, where an escape trail ends."""
-    return {v for v in range(current.graph.n) if current.degrees[v] < bounds.upper[v]}
-
-
 def compute_even_set(graph: Graph, bounds: DegreeBounds, current: Subgraph) -> EvenSet:
     """The even set, from one escape-trail search per vertex at its upper bound."""
     members = set()
     gadget = Gadget(graph, graph.edge_ids, current.edge_set)
-    slack = slack_of(current, bounds)
+    ends = Ends(current, bounds)
     for v in range(graph.n):
         if current.degrees[v] < bounds.upper[v]:
             members.add(v)  # the empty trail already ends at spare capacity
-        elif current.degrees[v] > bounds.lower[v] and _escape_trail(
-            bounds, current, {v}, gadget, slack
-        ) is not None:
+        elif _escape_trail({v}, gadget, ends) is not None:
             members.add(v)
     return EvenSet(frozenset(members))
 
@@ -216,6 +210,85 @@ def feasible_by_fresh_gadgets(graph: Graph, bounds: DegreeBounds) -> Subgraph | 
         if trail is None:
             return None
         sub.flip(trail.edges)
+
+
+def unlocking_trail_by_fresh_gadget(
+    cycle: Trail, current: Subgraph, graph: Graph, bounds: DegreeBounds
+) -> Trail | None:
+    """The unlocking trail of an alternately tight cycle, searched on a fresh
+    gadget over the off-cycle edges with sink sets built for this cycle.
+
+    Reference for ``external.exists_unlocking_subgraph``, which searches the
+    caller's kept whole-host gadget, with the cycle's edges dropped, and its
+    kept ``Ends`` instead.
+    """
+    roles = ab_tight_roles(cycle, current, bounds)
+    if roles is None:
+        raise ContractError("cycle is not alternately tight in the current subgraph")
+    on_cycle = set(cycle.edges)
+    room = [b - d for b, d in zip(bounds.upper, current.degrees)]
+    spare = [d - a for d, a in zip(current.degrees, bounds.lower)]
+    add_sinks = {v for v, steps in enumerate(room) if steps > 0}
+    remove_sinks = {v for v, steps in enumerate(spare) if steps > 0}
+    gadget = None
+    for inside, ahead in ((False, room), (True, spare)):
+        starts = {
+            v
+            for v, r in zip(cycle.vertices, roles)
+            if (r == "b") == inside
+            and any(e not in on_cycle and (e in current) == inside for e in graph.incident[v])
+        }
+        if not starts:
+            continue
+        if gadget is None:
+            pool = [e for e in graph.edge_ids if e not in on_cycle]
+            gadget = Gadget(graph, pool, current.edge_set)
+        found = gadget.search(
+            starts, add_sinks, remove_sinks, lambda v: ahead[v] >= 2, first_inside=inside
+        )
+        if found is not None:
+            return found
+    return None
+
+
+def many_cycle_instance(rng, m: int, cycles: int) -> Instance:
+    """A loose host of ``m`` edges plus ``cycles`` alternately tight 4-cycles,
+    each unlocked by one pendant edge, at slack 2.
+
+    The filler is ``sparse_connected_graph(rng, m // 3, m)``, the same random
+    30% of it in the source and the target, with bounds one below and one
+    above each degree (clamped to [0, deg]). Each 4-cycle, on new vertices,
+    alternates source and target edges, with bounds (1, 2) and (0, 1) in
+    turn; one (0, 1) vertex is raised to (0, 2) and gets a pendant edge in
+    both subgraphs to a new (0, 1) vertex. The answer is Yes.
+    """
+    filler = sparse_connected_graph(rng, m // 3, m)
+    edges = list(filler.edges)
+    n = filler.n
+    common = {e for e in range(filler.m) if rng.random() < 0.3}
+    source, target = set(common), set(common)
+    lower = [0] * (n + 5 * cycles)
+    upper = [0] * (n + 5 * cycles)
+    degree = [0] * n
+    for e in common:
+        for v in filler.edges[e]:
+            degree[v] += 1
+    for v in range(n):
+        lower[v], upper[v] = max(0, degree[v] - 1), min(filler.degree[v], degree[v] + 1)
+    for c in range(cycles):
+        ring = [n + 5 * c + i for i in range(4)]
+        pendant = n + 5 * c + 4
+        for i, u in enumerate(ring):
+            (source if i % 2 == 0 else target).add(len(edges))
+            edges.append((u, ring[(i + 1) % 4]))
+            lower[u], upper[u] = (1, 2) if i % 2 == 0 else (0, 1)
+        upper[ring[1]] = 2
+        source.add(len(edges))
+        target.add(len(edges))
+        edges.append((ring[1], pendant))
+        lower[pendant], upper[pendant] = 0, 1
+    g = Graph(n + 5 * cycles, edges)
+    return Instance(g, DegreeBounds(g, lower, upper), Subgraph(g, source), Subgraph(g, target), 2)
 
 
 def _canonical(n: int, edges: frozenset[tuple[int, int]]) -> tuple:

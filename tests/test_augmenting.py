@@ -6,19 +6,22 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcsreconf.augmenting import Gadget, find_alternating_trail, growing_trail
+from dcsreconf.augmenting import Ends, Gadget, find_alternating_trail, growing_trail
 from dcsreconf.core import DegreeBounds, Graph, Subgraph
 from dcsreconf.trail_type import Trail
 
 
 @st.composite
 def edited_gadgets(draw):
-    """A random graph, pool and member set, then a random run of drops and flips.
+    """A random graph, pool and member set, then a random run of drops,
+    restores and flips.
 
     The graph has 3-12 vertices and 2-18 edges, the pool at least two thirds
     of them on random sides, and the run at most m/2 + 1 steps, flips twice
-    as likely as drops, so that few pools end empty. Returns the graph, the
-    gadget after the run, and the pool and member set the run leads to.
+    as likely as drops, so that few pools end empty. A bounce drops an edge
+    and restores it at once; after the run, each edge still dropped may be
+    restored, on the side it left from. Returns the graph, the gadget after
+    the run, and the pool and member set the run leads to.
     """
     n = draw(st.integers(3, 12))
     pairs = list(itertools.combinations(range(n), 2))
@@ -28,17 +31,28 @@ def edited_gadgets(draw):
     sides = draw(st.lists(st.booleans(), min_size=len(pool), max_size=len(pool)))
     member = {e for e, inside in zip(sorted(pool), sides) if inside}
     gadget = Gadget(g, pool, member)
-    ops = st.tuples(st.sampled_from(["drop", "flip", "flip"]), st.integers(0, g.m - 1))
+    dropped: dict[int, bool] = {}  # edge -> whether it was a member when dropped
+    ops = st.tuples(st.sampled_from(["drop", "bounce", "flip", "flip"]), st.integers(0, g.m - 1))
     for op, e in draw(st.lists(ops, max_size=g.m // 2 + 1)):
         if e not in pool:
             continue
         if op == "drop":
             gadget.drop(e)
             pool.discard(e)
+            dropped[e] = e in member
             member.discard(e)
+        elif op == "bounce":
+            gadget.drop(e)
+            gadget.restore(e)
         else:
             gadget.flip(e)
             member ^= {e}
+    for e, was_member in dropped.items():
+        if draw(st.booleans()):
+            gadget.restore(e)
+            pool.add(e)
+            if was_member:
+                member.add(e)
     return g, gadget, pool, member
 
 
@@ -94,13 +108,6 @@ def test_one_edge_trail_is_preferred(data):
     )
     if first is not None:
         assert gadget.search(sources, add_sinks, remove_sinks) == first
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_edited_gadget_tracks_outside_vertices(data):
-    g, gadget, pool, member = data.draw(edited_gadgets())
-    assert gadget.outside_vertices == {x for e in pool - member for x in g.edges[e]}
 
 
 @settings(max_examples=300, deadline=None)
@@ -201,7 +208,8 @@ def growing_trail_over_every_vertex(g, pool, member, degrees, upper):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_growing_trail_tests_room_only_where_a_trail_can_end(data):
-    """Room tested only at vertices with an outside port gives the same trail."""
+    """On an edited gadget, ``growing_trail`` finds the trail of fresh gadgets
+    with room tested at every vertex."""
     g, gadget, pool, member = data.draw(edited_gadgets())
     rest = sorted(set(range(g.m)) - pool)
     extra = data.draw(st.lists(st.sampled_from(rest), unique=True)) if rest else []
@@ -210,3 +218,31 @@ def test_growing_trail_tests_room_only_where_a_trail_can_end(data):
     bounds = DegreeBounds(g, [0] * g.n, upper)
     want = growing_trail_over_every_vertex(g, pool, member, current.degrees, upper)
     assert growing_trail(gadget, bounds, current) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_ends_settled_after_each_flip_match_fresh_ends(data):
+    """Flip a run of trails found on an edited gadget, each with its
+    first edge on a random side, settling after each: ``room`` and
+    ``spare`` stay the sets a fresh ``Ends`` builds."""
+    g, gadget, pool, member = data.draw(edited_gadgets())
+    rest = sorted(set(range(g.m)) - pool)
+    extra = data.draw(st.lists(st.sampled_from(rest), unique=True)) if rest else []
+    current = Subgraph(g, member | set(extra))
+    lower = [data.draw(st.integers(0, g.degree[v])) for v in range(g.n)]
+    upper = [data.draw(st.integers(lower[v], g.degree[v])) for v in range(g.n)]
+    bounds = DegreeBounds(g, lower, upper)
+    ends = Ends(current, bounds)
+    for _ in range(data.draw(st.integers(1, 6))):
+        sources, add_sinks, remove_sinks = data.draw(terminals(g.n))
+        first_inside = data.draw(st.booleans())
+        trail = gadget.search(sources, add_sinks, remove_sinks, first_inside=first_inside)
+        if trail is None:
+            continue
+        current.flip(trail.edges)
+        for e in trail.edges:
+            gadget.flip(e)
+        ends.settle(trail)
+        fresh = Ends(current, bounds)
+        assert (ends.room, ends.spare) == (fresh.room, fresh.spare)

@@ -8,7 +8,7 @@ from types import CodeType
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcsreconf import decider
+from dcsreconf import decider, external
 from dcsreconf.augmenting import Gadget, growing_trails
 from dcsreconf.core import DegreeBounds, Graph, Instance, Move, Subgraph, verify_move_sequence
 from dcsreconf.decider import (
@@ -32,6 +32,7 @@ from helpers import (
     graph,
     inst,
     loose_instance,
+    many_cycle_instance,
     next_growing_trail,
     path_graph,
     planted_tight_cycles,
@@ -41,6 +42,7 @@ from helpers import (
     relabelled,
     sparse_connected_graph,
     sub,
+    unlocking_trail_by_fresh_gadget,
     validate_trail,
 )
 
@@ -642,3 +644,48 @@ def test_prepending_a_pinned_edge_shifts_every_index_by_one():
         no_answers += not decide(plain).yes
         done += 1
     assert no_answers > 0
+
+
+def test_kept_gadget_unlock_searches_match_fresh_gadget_searches(monkeypatch):
+    """Every alternately tight cycle ``peel`` yields in ``decide``, on 2,000
+    random-bounds hosts at slack 1 and 2, gets from the kept whole-host
+    gadget and ``Ends`` the unlocking trail (or None) that a fresh gadget
+    over the off-cycle edges finds."""
+    searched = []
+    kept = decider.exists_unlocking_subgraph
+
+    def checked(cycle, current, bounds, gadget, ends):
+        found = kept(cycle, current, bounds, gadget, ends)
+        assert found == unlocking_trail_by_fresh_gadget(cycle, current, current.graph, bounds)
+        searched.append(found is not None)
+        return found
+
+    monkeypatch.setattr(decider, "exists_unlocking_subgraph", checked)
+    rng = random.Random(19)
+    for _ in range(2000):
+        i = random_bounds_instance(rng)
+        for k in (1, 2):
+            decide(Instance(i.graph, i.bounds, i.source, i.target, k))
+    assert True in searched and False in searched
+
+
+def test_many_alternately_tight_cycles_share_one_whole_host_gadget(monkeypatch):
+    """A 4,000-edge host with 32 alternately tight 4-cycles, each unlocked by
+    its pendant edge: Yes with moves that replay, every cycle unlocked, and
+    at most one gadget over the host (more than half its edges; a gadget
+    per cycle would span all but the cycle's) built in the whole ``decide``."""
+    whole_host = []
+
+    def counted(graph, pool, member):
+        pool = list(pool)
+        whole_host.append(len(pool) > graph.m // 2)
+        return Gadget(graph, pool, member)
+
+    for module in (decider, external):
+        monkeypatch.setattr(module, "Gadget", counted)
+    i = many_cycle_instance(random.Random(9), 4000, 32)
+    d, trace = decide_with_trace(i)
+    assert d.yes
+    assert verify_move_sequence(i, list(d.moves))
+    assert [entry.rule for entry in trace] == ["tight-cycle-unlock"] * 32
+    assert sum(whole_host) <= 1

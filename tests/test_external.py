@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dcsreconf.augmenting import Gadget
+from dcsreconf.augmenting import Ends, Gadget
 from dcsreconf.core import (
     DegreeBounds,
     Graph,
@@ -38,8 +38,8 @@ from helpers import (
     path_graph,
     random_bounds,
     random_connected_graph,
-    slack_of,
     sub,
+    unlocking_trail_by_fresh_gadget,
 )
 
 
@@ -49,10 +49,25 @@ def square_trail():
 
 def btight_moves(trail, current, b):
     """``_btight_cycle``'s moves on a copy, with the whole-host gadget and
-    slack set that ``decide`` keeps between maximum subgraphs."""
+    ``Ends`` that ``decide`` keeps between maximum subgraphs."""
     g = current.graph
     gadget = Gadget(g, g.edge_ids, current.edge_set)
-    return on_copy(_btight_cycle, trail, current, b, gadget=gadget, slack=slack_of(current, b))
+    return on_copy(_btight_cycle, trail, current, b, gadget=gadget, ends=Ends(current, b))
+
+
+def unlock(cycle, current, b):
+    """``exists_unlocking_subgraph`` on a whole-host gadget and ``Ends``
+    around ``current``. The gadget must come back with every port in place,
+    and the trail must be the one a fresh gadget over the off-cycle edges
+    finds."""
+    g = current.graph
+    gadget = Gadget(g, g.edge_ids, current.edge_set)
+    ports = [list(map(list, at)) for at in (gadget.inside_at, gadget.outside_at)]
+    found = exists_unlocking_subgraph(cycle, current, b, gadget, Ends(current, b))
+    assert [gadget.inside_at, gadget.outside_at] == ports
+    assert gadget.index == {e: j for j, e in enumerate(gadget.edges)}
+    assert found == unlocking_trail_by_fresh_gadget(cycle, current, g, b)
+    return found
 
 
 def test_even_set_empty_for_saturated_cycle():
@@ -160,9 +175,10 @@ def test_forward_escape_exists_iff_the_backward_search_finds_one(rng):
     assume(states)
     current = rng.choice(states)
     candidates = set(rng.sample(range(n), rng.randint(1, n)))
-    slack = slack_of(current, b)
-    escape = _escape_trail(b, current, candidates, Gadget(g, g.edge_ids, current.edge_set), slack)
+    ends = Ends(current, b)
+    escape = _escape_trail(candidates, Gadget(g, g.edge_ids, current.edge_set), ends)
     goals = {v for v in candidates if current.degrees[v] > b.lower[v]}
+    slack = {v for v in range(n) if current.degrees[v] < b.upper[v]}
     backward = Gadget(g, g.edge_ids, current.edge_set).search(slack, set(), goals)
     assert (escape is None) == (backward is None)
     if escape is not None:
@@ -179,14 +195,14 @@ def alt_tight_bounds(g):
 
 def test_unlocking_subgraph_absent_for_isolated_cycle():
     g = cycle_graph(4)
-    assert exists_unlocking_subgraph(square_trail(), sub(g, [0, 2]), g, alt_tight_bounds(g)) is None
+    assert unlock(square_trail(), sub(g, [0, 2]), alt_tight_bounds(g)) is None
 
 
 def test_unlocking_subgraph_found_with_pendant():
     g = graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 0)])
     b = alt_tight_bounds(g)
     current = sub(g, [0, 2])
-    bridge = exists_unlocking_subgraph(square_trail(), current, g, b)
+    bridge = unlock(square_trail(), current, b)
     assert bridge is not None
     unlocked = flipped(current, bridge)
     assert is_ab_constrained(unlocked, b)
@@ -197,16 +213,14 @@ def test_unlocking_subgraph_found_with_pendant():
 def test_unlocking_subgraph_rejects_untight_cycle():
     g = cycle_graph(4)
     with pytest.raises(ContractError):
-        exists_unlocking_subgraph(
-            square_trail(), sub(g, [0, 2]), g, bounds(g, 0, [2, 2, 2, 2])
-        )
+        unlock(square_trail(), sub(g, [0, 2]), bounds(g, 0, [2, 2, 2, 2]))
 
 
 def test_alt_cycle_reconfiguration_with_pendant():
     g = graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 0)])
     b = alt_tight_bounds(g)
     current = sub(g, [0, 2])
-    unlocked = exists_unlocking_subgraph(square_trail(), current, g, b)
+    unlocked = unlock(square_trail(), current, b)
     moves = on_copy(_alt_cycle, square_trail(), current, unlocked, g, b)
     i = Instance(g, b, current, sub(g, [1, 3]), 1)
     assert verify_move_sequence(i, moves)
@@ -219,7 +233,7 @@ def test_alt_cycle_unlocked_by_shedding_an_outside_edge():
     g = graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 4)])
     b = DegreeBounds(g, [1, 0, 1, 0, 0], [2, 2, 2, 1, 1])
     current = sub(g, [0, 2, 4])
-    unlocked = exists_unlocking_subgraph(square_trail(), current, g, b)
+    unlocked = unlock(square_trail(), current, b)
     assert unlocked is not None
     moves = on_copy(_alt_cycle, square_trail(), current, unlocked, g, b)
     target = sub(g, [1, 3, 4])
@@ -234,7 +248,7 @@ def test_alt_cycle_unlocked_through_even_bridge():
     g = graph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 4), (4, 5)])
     b = DegreeBounds(g, [1, 0, 1, 0, 1, 0], [2, 2, 2, 1, 2, 1])
     current = sub(g, [0, 2, 4])
-    unlocked = exists_unlocking_subgraph(square_trail(), current, g, b)
+    unlocked = unlock(square_trail(), current, b)
     assert unlocked is not None
     moves = on_copy(_alt_cycle, square_trail(), current, unlocked, g, b)
     target = sub(g, [1, 3, 4])
@@ -249,7 +263,7 @@ def test_alt_cycle_unlocked_by_gaining_through_a_chain():
     g = graph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5)])
     b = DegreeBounds(g, [1, 0, 1, 0, 0, 0], [2, 1, 2, 1, 1, 1])
     current = sub(g, [0, 2, 5])
-    unlocked = exists_unlocking_subgraph(square_trail(), current, g, b)
+    unlocked = unlock(square_trail(), current, b)
     assert unlocked is not None
     moves = on_copy(_alt_cycle, square_trail(), current, unlocked, g, b)
     target = sub(g, [1, 3, 5])
@@ -318,7 +332,7 @@ def test_unlocking_trail_exists_iff_brute_force_finds_an_unlocking_subgraph(rng)
         if is_ab_constrained(y, b) and not is_alternatingly_ab_tight(cycle, y, b):
             unlockable = True
             break
-    bridge = exists_unlocking_subgraph(cycle, current, g, b)
+    bridge = unlock(cycle, current, b)
     assert (bridge is not None) == unlockable
     if bridge is None:
         return
@@ -355,7 +369,7 @@ def test_unlocking_search_is_redone_per_start_after_a_closed_trail_without_room(
     g = graph(8, edges)
     b = DegreeBounds(g, lower, upper)
     current = sub(g, inside)
-    bridge = exists_unlocking_subgraph(square_trail(), current, g, b)
+    bridge = unlock(square_trail(), current, b)
     assert bridge is not None and not bridge.is_closed
     assert bridge.edges == (7, 8)
     assert is_ab_constrained(flipped(current, bridge), b)

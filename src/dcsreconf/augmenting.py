@@ -18,9 +18,9 @@ ports at a source on the first edge's side, outside unless the caller sets
 ``first_inside``; tau to the outside ports at an add sink and the member
 ports at a remove sink, whichever side the trail starts on. The search tests
 each port for that as it becomes outer. One gadget serves every search of a
-loop: ``drop`` takes an edge out of the pool, ``restore`` puts it back,
-``flip`` moves it to the other side, and each search resets only the nodes
-it reached. ``find_alternating_trail`` is the one-shot form.
+loop: ``drop`` takes edges out of the pool, ``restore`` puts them back,
+``flip`` moves them to the other side, and each search resets only the
+nodes it reached. ``find_alternating_trail`` is the one-shot form.
 
 A search pays for what it finds: it returns as soon as it queues a port at
 a sink, without expanding the ports queued before it, so a short trail costs
@@ -31,13 +31,13 @@ flipped trail's two ends, and the one closing rule: a trail may end back at
 its own start only where that vertex can move two steps.
 
 ``growing_trail`` asks once whether a growing trail exists, with one search
-from every vertex with room. ``decider.peel`` and ``solver.maximum_dcs``
-instead take their growing trails from ``growing_trails``: a cursor over
-one-edge trails, then one search per start in vertex order, which moves past
-a start for good once it misses. Room only shrinks, whether a peel drops
-each trail from the pool or the maximum search flips it, so the whole
-growing phase costs about what its trails reach plus one missed search per
-start.
+from every vertex with room. ``decider.Peel`` and ``solver.maximum_dcs``
+instead take their growing trails from ``growing_trails``, on their own
+gadget and ``Ends``: a cursor over one-edge trails, then one search per
+start in vertex order, which moves past a start for good once it misses.
+Room only shrinks, whether a peel drops each trail from the pool or the
+maximum search flips it, so the whole growing phase costs about what its
+trails reach plus one missed search per start.
 """
 
 from __future__ import annotations
@@ -79,25 +79,28 @@ class Gadget:
         self.stamp = [0] * n_nodes
         self.epoch = 0
 
-    def drop(self, e: int) -> None:
-        """Take edge ``e`` out of the pool."""
-        j = self.index.pop(e)
-        for port in (2 + 2 * j, 3 + 2 * j):
-            self._unlink(port)
+    def drop(self, edges: Iterable[int]) -> None:
+        """Take the edges out of the pool."""
+        for e in edges:
+            j = self.index.pop(e)
+            for port in (2 + 2 * j, 3 + 2 * j):
+                self._unlink(port)
 
-    def restore(self, e: int) -> None:
-        """Put the dropped edge ``e`` back into the pool, on the side it left from."""
-        j = self.index[e] = bisect_left(self.edges, e)
-        for port in (2 + 2 * j, 3 + 2 * j):
-            insort(self._side_list(port), port)
+    def restore(self, edges: Iterable[int]) -> None:
+        """Put the dropped edges back into the pool, each on the side it left from."""
+        for e in edges:
+            j = self.index[e] = bisect_left(self.edges, e)
+            for port in (2 + 2 * j, 3 + 2 * j):
+                insort(self._side_list(port), port)
 
-    def flip(self, e: int) -> None:
-        """Move edge ``e`` to the other side of the member set."""
-        j = self.index[e]
-        for port in (2 + 2 * j, 3 + 2 * j):
-            self._unlink(port)
-            self.inside[port] = not self.inside[port]
-            insort(self._side_list(port), port)
+    def flip(self, edges: Iterable[int]) -> None:
+        """Move the edges to the other side of the member set."""
+        for e in edges:
+            j = self.index[e]
+            for port in (2 + 2 * j, 3 + 2 * j):
+                self._unlink(port)
+                self.inside[port] = not self.inside[port]
+                insort(self._side_list(port), port)
 
     def _side_list(self, port: int) -> list[int]:
         at = self.inside_at if self.inside[port] else self.outside_at
@@ -223,15 +226,15 @@ def growing_trail(gadget: Gadget, bounds: DegreeBounds, current: Subgraph) -> Tr
     return gadget.search(ends.room, ends.room, closes=ends.closes(False))
 
 
-def growing_trails(gadget: Gadget, bounds: DegreeBounds, current: Subgraph) -> Iterator[Trail]:
+def growing_trails(gadget: Gadget, ends: Ends) -> Iterator[Trail]:
     """The growing trails of a grow loop, one per resume, until none is left.
 
-    The gadget's member set must be ``current``. Before resuming, the caller
-    flips each trail into ``current`` and then drops its edges from the pool
-    (``decider.peel``) or flips them in the gadget (``solver.maximum_dcs``),
-    and changes nothing else. Each trail is one ``growing_trail`` would
-    accept; the generator is exhausted exactly when ``growing_trail`` would
-    return None.
+    The gadget's member set must be the subgraph ``ends`` is kept around.
+    Before resuming, the caller flips each trail into that subgraph, drops
+    its edges from the pool (``decider.Peel``) or flips them in the gadget
+    (``solver.maximum_dcs``), and settles ``ends``; it changes nothing else.
+    Each trail is one ``growing_trail`` would accept; the generator is
+    exhausted exactly when ``growing_trail`` would return None.
 
     A trail's flip raises the degree at its two ends only, so room only
     shrinks, and a start whose own search misses never gets a trail later.
@@ -244,33 +247,25 @@ def growing_trails(gadget: Gadget, bounds: DegreeBounds, current: Subgraph) -> I
     a start it passed may get a one-edge trail later, which the search
     cursor finds.
     """
-    ends = Ends(current, bounds)
     room, closes = ends.room, ends.closes(False)
+    outside_at, vertex_of, match = gadget.outside_at, gadget.vertex_of, gadget.match
     # Only a vertex with a non-member edge in the pool can start a growing trail.
-    starts = sorted(v for v in room if gadget.outside_at[v])
-    edges, vertex_of, match = gadget.edges, gadget.vertex_of, gadget.match
+    starts = sorted(v for v in room if outside_at[v])
 
     # One-edge trails first, at each start in vertex order: the first outside
     # port whose far end has room. With drops, while any one-edge trail is
     # left, that is the trail the multi-source root expansion returns first.
     for x in starts:
         while x in room:
-            ports = gadget.outside_at[x]
-            far = next((match[p] for p in ports if vertex_of[match[p]] in room), None)
+            far = next((match[p] for p in outside_at[x] if vertex_of[match[p]] in room), None)
             if far is None:
                 break
-            trail = Trail((x, vertex_of[far]), (edges[(far - 2) >> 1],))
-            yield trail
-            ends.settle(trail)
+            yield Trail((x, vertex_of[far]), (gadget.edges[(far - 2) >> 1],))
     # Then one search from each start in vertex order, until it misses or the
     # start has no room left.
     for x in starts:
-        while x in room:
-            trail = gadget.search({x}, room, closes=closes)
-            if trail is None:
-                break
+        while x in room and (trail := gadget.search({x}, room, closes=closes)) is not None:
             yield trail
-            ends.settle(trail)
 
 
 def _decode(gadget: Gadget, node_path: list[int]) -> Trail:

@@ -3,17 +3,20 @@
 Pipeline: detect fixed-edge conflicts, switch the fixed edges off (they keep
 their indices, so moves, witnesses and trace entries need no mapping back),
 orient so the source is no larger than the target, then peel alternating
-trails and dispatch each by its class. ``peel`` is the one peel loop, and
+trails and dispatch each by its class. ``Peel`` is the one peel loop, and
 ``alternating_trail_decomposition`` lists what it takes: growing trails while
 any is left (from ``augmenting.growing_trails``, which moves past a start for
 good once it has no trail), then maximal trails from the least edge left,
-with no further search. At slack 1 with equal sizes the procedure
-either works between maximum subgraphs (where locked upper-tight cycles are
-conclusive) or routes through a one-edge augmentation of the target. Between
-maximum subgraphs one whole-host gadget, built once, answers the maximality
-test and then every escape and unlock search, flipped with each peeled trail;
-elsewhere it is built at the first alternately tight cycle. Every Yes answer
-is replayed through the verifier before being returned.
+with no further search. A ``Peel`` owns what the searches keep in step with
+the current subgraph (the pool gadget over the edges left, one ``Ends`` and
+the optional whole-host gadget) and applies each trail to them in one place.
+At slack 1 with equal sizes the procedure either works between maximum
+subgraphs (where locked upper-tight cycles are conclusive) or routes through
+a one-edge augmentation of the target. Between maximum subgraphs one
+whole-host gadget, built once, answers the maximality test and then every
+escape and unlock search; elsewhere the peel builds it at the first
+alternately tight cycle. Every Yes answer is replayed through the verifier
+before being returned.
 """
 
 from __future__ import annotations
@@ -159,34 +162,51 @@ def _solve_equal_nonmax(inst: Instance, trace: list[TraceEntry]) -> Decision:
     return _decide_core(restrict_instance(inst, frozen), trace)
 
 
-def peel(graph: Graph, bounds: DegreeBounds, current: Subgraph, target: Subgraph):
+class Peel:
     """Partition current^target into alternating trails, preferring growth.
 
-    Yields ``(trail, TrailClass)`` pairs, each classified around ``current``;
-    the caller flips each trail into ``current`` before asking for the next.
-    Peeling has two phases: growing trails (flip adds an edge) while any is
-    left, then the maximal trail around the least edge left for every
-    remaining trail, with no further search.
+    Iterating yields ``(trail, TrailClass)`` pairs, each classified around
+    ``current``; the caller flips each trail into ``current`` before asking
+    for the next. Peeling has two phases: growing trails (flip adds an edge)
+    while any is left, then the maximal trail around the least edge left for
+    every remaining trail, with no further search.
+
+    A peel is iterated once. It owns what is kept in step with ``current``
+    across trails: ``pool``, the gadget over the edges left (its ``index``);
+    ``ends``, the ``Ends`` around ``current``; and ``host``, an optional
+    gadget over the whole host around ``current``, which the caller may set
+    while it holds a trail. The block after the ``yield`` is the one place
+    that applies a trail to them.
     """
-    remaining = Subgraph(graph, current.edge_set ^ target.edge_set)
-    # The caller flips exactly each trail, which then leaves the pool, so no
-    # edge left in the pool changes side and one gadget over the difference
-    # serves every search.
-    pool = Gadget(graph, remaining.edge_set, current.edge_set)
-    # While growing, the pool only loses edges, no edge left changes side and
-    # room only shrinks, so a trail from a start later was one already: a
-    # start that misses (no one-edge trail, or its own search finds nothing)
-    # never finds a trail later (Edmonds 1965, as for augmenting paths).
-    # ``growing_trails`` moves past each such start for good and runs out
-    # exactly when no growing trail is left.
-    grown = growing_trails(pool, bounds, current)
-    order = sorted(remaining.edge_set)  # fallback starts: the least edge left
-    cursor = 0
-    growing = True
-    while remaining.edge_set:
-        trail = None
-        if growing:
-            trail = next(grown, None)
+
+    def __init__(
+        self,
+        graph: Graph,
+        bounds: DegreeBounds,
+        current: Subgraph,
+        target: Subgraph,
+        host: Gadget | None = None,
+    ):
+        self.bounds, self.current, self.host = bounds, current, host
+        # The caller flips exactly each trail, which then leaves the pool, so
+        # no edge left in the pool changes side and one gadget over the
+        # difference serves every search.
+        self.pool = Gadget(graph, current.edge_set ^ target.edge_set, current.edge_set)
+        self.ends = Ends(current, bounds)
+
+    def __iter__(self):
+        pool, ends, current, bounds = self.pool, self.ends, self.current, self.bounds
+        # While growing, the pool only loses edges, no edge left changes side
+        # and room only shrinks, so a trail from a start later was one
+        # already: a start that misses (no one-edge trail, or its own search
+        # finds nothing) never finds a trail later (Edmonds 1965, as for
+        # augmenting paths). ``growing_trails`` moves past each such start for
+        # good and runs out exactly when no growing trail is left.
+        grown = growing_trails(pool, ends)
+        order = pool.edges  # fallback starts: the least edge left
+        cursor = 0
+        growing = True
+        while pool.index:
             # After the growing phase no later peel can create a growing
             # trail. The pool only loses edges and no edge left changes side,
             # so every later candidate was a trail when it ended. Each later
@@ -194,24 +214,26 @@ def peel(graph: Graph, bounds: DegreeBounds, current: Subgraph, target: Subgraph
             # flip moves degrees only at its ends; and an end that gains room
             # has no outside pool edge left, since the trail would have been
             # extended along it, so no growing trail can end there.
+            trail = next(grown, None) if growing else None
             growing = trail is not None
-        if trail is None:
-            while order[cursor] not in remaining:
-                cursor += 1
-            trail = find_maximal_alternating_trail(remaining, current, order[cursor])
-        cls = classify_trail(trail, current, bounds)
-        if cls is TrailClass.M_AUGMENTING and not growing:
-            raise SynthesisError("fallback trail classified as growing: search is incomplete")
-        yield trail, cls
-        for e in trail.edges:
-            remaining.remove(e)
-            pool.drop(e)
+            if trail is None:
+                while order[cursor] not in pool.index:
+                    cursor += 1
+                trail = find_maximal_alternating_trail(pool.index, current, order[cursor])
+            cls = classify_trail(trail, current, bounds)
+            if cls is TrailClass.M_AUGMENTING and not growing:
+                raise SynthesisError("fallback trail classified as growing: search is incomplete")
+            yield trail, cls
+            pool.drop(trail.edges)
+            if self.host is not None:
+                self.host.flip(trail.edges)
+            ends.settle(trail)
 
 
 def alternating_trail_decomposition(
     graph: Graph, bounds: DegreeBounds, source: Subgraph, target: Subgraph
 ) -> list[tuple[Trail, TrailClass]]:
-    """The trails ``peel`` takes from source^target, each with its class.
+    """The trails ``Peel`` takes from source^target, each with its class.
 
     Each class is the trail's class in the subgraph it was peeled from: the
     source with every earlier trail flipped.
@@ -222,7 +244,7 @@ def alternating_trail_decomposition(
         raise ContractError("decomposition requires a feasible source")
     cur = source.copy()
     peeled = []
-    for trail, cls in peel(graph, bounds, cur, target):
+    for trail, cls in Peel(graph, bounds, cur, target):
         peeled.append((trail, cls))
         cur.flip(trail.edges)
         # a flip moves the degree only at the trail's vertices
@@ -236,13 +258,13 @@ def _process(inst: Instance, trace: list[TraceEntry], host: Gadget | None = None
     ctx = inst.source.copy()
     out: list[Move] = []
     # Every rule's net effect is exactly its trail's flip, so ``ctx`` is in
-    # step with ``peel``, and the whole-host ``host`` and its ``ends``, kept in
-    # step with each trail, serve every escape and unlock search. ``host`` is
-    # given exactly between maximum subgraphs at slack 1, where upper-tight
-    # cycles escape; else both are built at the first alternately tight cycle.
+    # step with ``peel``, whose whole-host gadget and ``ends`` serve every
+    # escape and unlock search. ``host`` is given exactly between maximum
+    # subgraphs at slack 1, where upper-tight cycles escape; else
+    # ``peel.host`` is built at the first alternately tight cycle.
     escapes = host is not None
-    ends = Ends(ctx, bounds) if escapes else None
-    for trail, cls in peel(graph, bounds, ctx, inst.target):
+    peel = Peel(graph, bounds, ctx, inst.target, host)
+    for trail, cls in peel:
         before = len(out)
         if cls is TrailClass.M_AUGMENTING:
             _odd_grow(trail, ctx, bounds, out)
@@ -262,7 +284,7 @@ def _process(inst: Instance, trace: list[TraceEntry], host: Gadget | None = None
         elif cls is TrailClass.B_TIGHT_CYCLE:
             if escapes:
                 try:
-                    _btight_cycle(trail, ctx, bounds, out, host, ends)
+                    _btight_cycle(trail, ctx, bounds, out, peel.host, peel.ends)
                     rule = "tight-cycle-escape"
                 except LockedCycleError:
                     return Decision.reject(
@@ -276,10 +298,9 @@ def _process(inst: Instance, trace: list[TraceEntry], host: Gadget | None = None
                 _closed_even(trail, ctx, bounds, out, allow_deep_dip=True)
                 rule = "tight-cycle-dip"
         else:  # alternately tight cycle
-            if host is None:
-                host = Gadget(graph, graph.edge_ids, ctx.edge_set)
-                ends = Ends(ctx, bounds)
-            bridge = exists_unlocking_subgraph(trail, ctx, bounds, host, ends)
+            if peel.host is None:
+                peel.host = Gadget(graph, graph.edge_ids, ctx.edge_set)
+            bridge = exists_unlocking_subgraph(trail, ctx, bounds, peel.host, peel.ends)
             if bridge is None:
                 return Decision.reject(
                     Witness(LOCKED_ALT_AB_TIGHT_CYCLE, cycle=trail, context="any slack")
@@ -287,10 +308,6 @@ def _process(inst: Instance, trace: list[TraceEntry], host: Gadget | None = None
             _alt_cycle(trail, ctx, bridge, graph, bounds, out)
             rule = "tight-cycle-unlock"
         trace.append(TraceEntry(cls.value, rule, len(out) - before, trail))
-        if host is not None:
-            for e in trail.edges:
-                host.flip(e)
-            ends.settle(trail)
     if ctx != inst.target:
         raise SynthesisError("trail processing did not arrive at the target")
     return Decision.accept(out)

@@ -6,9 +6,9 @@ vertex with spare capacity; an alternately tight cycle can only flip if an
 unlocking trail exists: one that uses no cycle edge, leaves a cycle vertex
 over the edge that moves it off its role's bound, and ends where the far end
 can take the change. Both trails are searched forward from the cycle, with
-the side of the first edge set per search, on the caller's whole-host gadget
-and ``augmenting.Ends`` around the current subgraph. Both routines restore
-every off-cycle side effect.
+the side of the first edge set per search, on the whole-host gadget and the
+``augmenting.Ends`` that ``decider.Peel`` keeps around the current subgraph.
+Both routines restore every off-cycle side effect.
 """
 
 from __future__ import annotations
@@ -120,8 +120,7 @@ def exists_unlocking_subgraph(
     roles = ab_tight_roles(cycle, current, bounds)
     if roles is None:
         raise ContractError("cycle is not alternately tight in the current subgraph")
-    for e in cycle.edges:
-        gadget.drop(e)
+    gadget.drop(cycle.edges)
     try:
         for inside, ports_at in ((False, gadget.outside_at), (True, gadget.inside_at)):
             # a start finds nothing without an off-cycle edge on its side
@@ -134,8 +133,7 @@ def exists_unlocking_subgraph(
                 return found
         return None
     finally:
-        for e in cycle.edges:
-            gadget.restore(e)
+        gadget.restore(cycle.edges)
 
 
 def _alt_cycle(

@@ -4,9 +4,9 @@ Both phases run on the generic alternating-trail search: first, deficient
 vertices (below their lower bound) are repaired one unit at a time by trails
 that add net degree there without hurting anyone else; then the subgraph is
 grown by the growing trails of ``augmenting.growing_trails``, the generator
-``decider.peel`` also takes its growing trails from, until none is left. One
+``decider.Peel`` also takes its growing trails from, until none is left. One
 last search that finds nothing certifies maximality. Each phase keeps one
-whole-host gadget, and repairs an ``Ends``, in step with the trails flipped.
+whole-host gadget and one ``Ends`` in step with the trails flipped.
 """
 
 from __future__ import annotations
@@ -33,22 +33,14 @@ def feasible_subgraph(graph: Graph, bounds: DegreeBounds) -> Subgraph | None:
             if trail is None:
                 return None
             sub.flip(trail.edges)
-            for e in trail.edges:
-                gadget.flip(e)
+            gadget.flip(trail.edges)
             ends.settle(trail)
     return sub
 
 
-def augment_trail(
-    graph: Graph, bounds: DegreeBounds, sub: Subgraph, gadget: Gadget | None = None
-) -> Trail | None:
-    """A trail whose flip grows ``sub`` by one edge and stays feasible, or None.
-
-    ``gadget``, when given, spans the whole host around ``sub``.
-    """
-    if gadget is None:
-        gadget = Gadget(graph, graph.edge_ids, sub.edge_set)
-    return growing_trail(gadget, bounds, sub)
+def augment_trail(graph: Graph, bounds: DegreeBounds, sub: Subgraph) -> Trail | None:
+    """A trail whose flip grows ``sub`` by one edge and stays feasible, or None."""
+    return growing_trail(Gadget(graph, graph.edge_ids, sub.edge_set), bounds, sub)
 
 
 def augment(graph: Graph, bounds: DegreeBounds, sub: Subgraph) -> Subgraph | None:
@@ -71,7 +63,9 @@ def is_maximum(
     """``gadget``, when given, spans the whole host around ``sub``."""
     if not is_ab_constrained(sub, bounds):
         raise ContractError("maximality test requires a feasible subgraph")
-    return augment_trail(graph, bounds, sub, gadget) is None
+    if gadget is None:
+        gadget = Gadget(graph, graph.edge_ids, sub.edge_set)
+    return growing_trail(gadget, bounds, sub) is None
 
 
 def maximum_dcs(graph: Graph, bounds: DegreeBounds) -> Subgraph | None:
@@ -80,12 +74,13 @@ def maximum_dcs(graph: Graph, bounds: DegreeBounds) -> Subgraph | None:
     if sub is None:
         return None
     gadget = Gadget(graph, graph.edge_ids, sub.edge_set)
+    ends = Ends(sub, bounds)
     # Each growing trail is flipped in the gadget rather than dropped; see
     # ``growing_trails`` for why its cursors stay exact.
-    for trail in growing_trails(gadget, bounds, sub):
+    for trail in growing_trails(gadget, ends):
         sub.flip(trail.edges)
-        for e in trail.edges:
-            gadget.flip(e)
+        gadget.flip(trail.edges)
+        ends.settle(trail)
     if not is_ab_constrained(sub, bounds) or growing_trail(gadget, bounds, sub) is not None:
         raise SynthesisError("growing phase stopped short of a maximum subgraph")
     return sub

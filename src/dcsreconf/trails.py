@@ -3,12 +3,13 @@
 Growing trails come from a gadget search, maximal trails from a greedy walk
 around one edge; ``classify_trail`` picks the single case a peeled trail
 falls under. The loop that peels current^target into trails is
-``decider.peel``.
+``decider.Peel``, which hands the maximal walk the edges left in its pool.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from typing import Container
 
 from .augmenting import Gadget, find_alternating_trail, growing_trail
 from .core import DegreeBounds, Graph, Subgraph
@@ -34,16 +35,17 @@ class TrailClass(Enum):
     ALT_AB_TIGHT_CYCLE = "alt-ab-tight-cycle"
 
 
-def find_maximal_alternating_trail(diff: Subgraph, current: Subgraph, start_edge: int) -> Trail:
+def find_maximal_alternating_trail(diff: Container, current: Subgraph, start_edge: int) -> Trail:
     """Grow a maximal alternating trail in ``diff`` around ``start_edge``.
 
-    Both ends are extended greedily (smallest admissible edge index first)
-    until no unused edge of the opposite side continues the sequence; the
+    ``diff`` is any container of edge ids of ``current``'s graph. Both ends
+    are extended greedily (smallest admissible edge index first) until no
+    unused edge of the opposite side continues the sequence; the
     construction closes the trail automatically when the ends meet.
     """
     if start_edge not in diff:
         raise ContractError(f"start edge {start_edge} not in the symmetric difference")
-    graph = diff.graph
+    graph = current.graph
     u, v = graph.edges[start_edge]
     used = {start_edge}
 

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 
+import dcsreconf
 from dcsreconf.augmenting import Ends, Gadget, find_alternating_trail
 from dcsreconf.core import DegreeBounds, Graph, Instance, Move, Subgraph
 from dcsreconf.errors import ContractError
@@ -72,6 +75,30 @@ def next_growing_trail(g: Graph, b: DegreeBounds, current: Subgraph, target: Sub
         if trail is not None:
             return trail
     return None
+
+
+def library_lines(f, counts=None) -> int:
+    """The line events in ``dcsreconf`` frames while ``f()`` runs.
+
+    ``counts``, when given, says which code objects count instead. A line
+    event counts a builtin call once, whatever its size.
+    """
+    package = str(Path(dcsreconf.__file__).parent)
+    counts = counts or (lambda code: code.co_filename.startswith(package))
+    lines = 0
+
+    def local(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return local
+
+    before = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if counts(frame.f_code) else None)
+    try:
+        f()
+    finally:
+        sys.settrace(before)
+    return lines
 
 
 def on_copy(worker, trail, current: Subgraph, *args, **kwargs) -> list[Move]:

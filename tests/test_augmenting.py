@@ -37,19 +37,19 @@ def edited_gadgets(draw):
         if e not in pool:
             continue
         if op == "drop":
-            gadget.drop(e)
+            gadget.drop([e])
             pool.discard(e)
             dropped[e] = e in member
             member.discard(e)
         elif op == "bounce":
-            gadget.drop(e)
-            gadget.restore(e)
+            gadget.drop([e])
+            gadget.restore([e])
         else:
-            gadget.flip(e)
+            gadget.flip([e])
             member ^= {e}
     for e, was_member in dropped.items():
         if draw(st.booleans()):
-            gadget.restore(e)
+            gadget.restore([e])
             pool.add(e)
             if was_member:
                 member.add(e)
@@ -161,11 +161,11 @@ def closing_cases(draw):
     gadget = Gadget(g, pool, member)
     for e in rng.sample(range(g.m), rng.randint(0, g.m // 3)):
         if rng.random() < 0.5:
-            gadget.drop(e)
+            gadget.drop([e])
             pool.discard(e)
             member.discard(e)
         else:
-            gadget.flip(e)
+            gadget.flip([e])
             member ^= {e}
     sources = set(rng.sample(range(n), 1 if rng.random() < 0.3 else rng.randint(2, 3)))
     add_sinks = sources | ({rng.randrange(n)} if rng.random() < 0.3 else set())
@@ -241,8 +241,7 @@ def test_ends_settled_after_each_flip_match_fresh_ends(data):
         if trail is None:
             continue
         current.flip(trail.edges)
-        for e in trail.edges:
-            gadget.flip(e)
+        gadget.flip(trail.edges)
         ends.settle(trail)
         fresh = Ends(current, bounds)
         assert (ends.room, ends.spare) == (fresh.room, fresh.spare)

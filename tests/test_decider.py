@@ -1,7 +1,8 @@
 import importlib
 import json
 import random
-import sys
+from collections import Counter
+from functools import partial
 from pathlib import Path
 from types import CodeType
 
@@ -9,15 +10,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcsreconf import decider, external
-from dcsreconf.augmenting import Gadget, growing_trails
-from dcsreconf.core import DegreeBounds, Graph, Instance, Move, Subgraph, verify_move_sequence
+from dcsreconf.augmenting import Ends, Gadget, growing_trails
+from dcsreconf.core import (
+    DegreeBounds,
+    Graph,
+    Instance,
+    Move,
+    Subgraph,
+    is_ab_constrained,
+    verify_move_sequence,
+)
 from dcsreconf.decider import (
     FIXED_EDGE,
     LOCKED_ALT_AB_TIGHT_CYCLE,
     LOCKED_B_TIGHT_CYCLE,
+    Peel,
     decide,
     decide_with_trace,
-    peel,
 )
 from dcsreconf.instance_io import parse_instance
 from dcsreconf.obstructions import m_fixed_subgraph
@@ -31,6 +40,7 @@ from helpers import (
     flipped,
     graph,
     inst,
+    library_lines,
     loose_instance,
     many_cycle_instance,
     next_growing_trail,
@@ -45,6 +55,7 @@ from helpers import (
     unlocking_trail_by_fresh_gadget,
     validate_trail,
 )
+from test_external import planted_alt_cycle
 
 
 def test_equal_endpoints_yield_empty_sequence():
@@ -504,7 +515,7 @@ def test_growing_trail_searches_stop_at_the_first_miss(monkeypatch):
         room = sum(d < u for d, u in zip(cur.degrees, b.upper))
         searches.clear()
         classes = []
-        for trail, cls in peel(g, b, cur, instance.target):
+        for trail, cls in Peel(g, b, cur, instance.target):
             classes.append(cls)
             cur.flip(trail.edges)
         grown = classes.count(TrailClass.M_AUGMENTING)
@@ -532,25 +543,16 @@ def test_loose_twenty_thousand_edge_host_decides_with_replayed_moves():
 def _growing_phase_lines_per_edge(i: Instance) -> float:
     """Lines run inside ``augmenting.growing_trails`` (its own code and the
     code nested in it, not the searches it calls) per difference edge, while
-    ``peel`` takes the difference apart: the growing phase's own work."""
+    ``Peel`` takes the difference apart: the growing phase's own work."""
     code = growing_trails.__code__
     codes = {code} | {c for c in code.co_consts if isinstance(c, CodeType)}
-    lines = 0
 
-    def local(frame, event, arg):
-        nonlocal lines
-        lines += event == "line"
-        return local
-
-    cur = i.source.copy()
-    before = sys.gettrace()
-    sys.settrace(lambda frame, event, arg: local if frame.f_code in codes else None)
-    try:
-        for trail, _ in peel(i.graph, i.bounds, cur, i.target):
+    def peel():
+        cur = i.source.copy()
+        for trail, _ in Peel(i.graph, i.bounds, cur, i.target):
             cur.flip(trail.edges)
-    finally:
-        sys.settrace(before)
-    return lines / len(i.source.edge_set ^ i.target.edge_set)
+
+    return library_lines(peel, codes.__contains__) / len(i.source.edge_set ^ i.target.edge_set)
 
 
 def test_growing_phase_work_per_edge_does_not_grow_with_the_host():
@@ -562,6 +564,29 @@ def test_growing_phase_work_per_edge_does_not_grow_with_the_host():
         loose_instance(random.Random(m), m // 3, m, sparse_connected_graph) for m in (2000, 8000)
     )
     assert _growing_phase_lines_per_edge(large) <= 1.5 * _growing_phase_lines_per_edge(small)
+
+
+def _decide_lines_ratio(family) -> float:
+    """Library lines of one ``decide`` at 4,000 edges over those at 2,000,
+    on hosts ``family(random.Random(m), m)`` generated before counting."""
+    small, large = (family(random.Random(m), m) for m in (2000, 4000))
+    return library_lines(partial(decide, large)) / library_lines(partial(decide, small))
+
+
+def test_decide_work_on_loose_hosts_grows_linearly():
+    """Doubling a loose host about doubles ``decide``'s library lines (1.99
+    times on these hosts); a quadratic term would show as about 4."""
+
+    def family(rng, m):
+        return loose_instance(rng, m // 3, m, sparse_connected_graph)
+
+    assert _decide_lines_ratio(family) <= 2.3
+
+
+def test_decide_work_on_many_cycle_hosts_grows_linearly():
+    """The same on many-cycle hosts, one alternately tight cycle per 160
+    edges, every one unlocked on one whole-host gadget (2.03 times)."""
+    assert _decide_lines_ratio(lambda rng, m: many_cycle_instance(rng, m, m // 160)) <= 2.3
 
 
 def _pinned_loose_instance(rng, m: int, share: float) -> Instance:
@@ -646,11 +671,28 @@ def test_prepending_a_pinned_edge_shifts_every_index_by_one():
     assert no_answers > 0
 
 
+def alt_cycle_instance(rng) -> Instance:
+    """A ``planted_alt_cycle`` host, from its subgraph to the one with the
+    cycle flipped; on about half the draws the target also flips a random
+    set of off-cycle edges (each with probability 0.3, the first of ten draws
+    that stays within the bounds). Slack 1."""
+    g, b, cycle, current = planted_alt_cycle(rng)
+    target = flipped(current, cycle)
+    off = [e for e in g.edge_ids if e not in cycle.edges]
+    for _ in range(rng.choice((0, 10))):
+        extra = target.copy()
+        extra.flip([e for e in off if rng.random() < 0.3])
+        if is_ab_constrained(extra, b):
+            target = extra
+            break
+    return Instance(g, b, current, target, 1)
+
+
 def test_kept_gadget_unlock_searches_match_fresh_gadget_searches(monkeypatch):
-    """Every alternately tight cycle ``peel`` yields in ``decide``, on 2,000
-    random-bounds hosts at slack 1 and 2, gets from the kept whole-host
-    gadget and ``Ends`` the unlocking trail (or None) that a fresh gadget
-    over the off-cycle edges finds."""
+    """Every alternately tight cycle ``Peel`` yields in ``decide``, on 150
+    hosts planted around one such cycle at slack 1 and 2, gets from the kept
+    whole-host gadget and ``Ends`` the unlocking trail (or None) that a fresh
+    gadget over the off-cycle edges finds."""
     searched = []
     kept = decider.exists_unlocking_subgraph
 
@@ -662,11 +704,11 @@ def test_kept_gadget_unlock_searches_match_fresh_gadget_searches(monkeypatch):
 
     monkeypatch.setattr(decider, "exists_unlocking_subgraph", checked)
     rng = random.Random(19)
-    for _ in range(2000):
-        i = random_bounds_instance(rng)
+    for _ in range(150):
+        i = alt_cycle_instance(rng)
         for k in (1, 2):
             decide(Instance(i.graph, i.bounds, i.source, i.target, k))
-    assert True in searched and False in searched
+    assert len(searched) >= 100 and True in searched and False in searched
 
 
 def test_many_alternately_tight_cycles_share_one_whole_host_gadget(monkeypatch):
@@ -689,3 +731,86 @@ def test_many_alternately_tight_cycles_share_one_whole_host_gadget(monkeypatch):
     assert verify_move_sequence(i, list(d.moves))
     assert [entry.rule for entry in trace] == ["tight-cycle-unlock"] * 32
     assert sum(whole_host) <= 1
+
+
+def _ports(gadget: Gadget, n: int) -> list:
+    """The edges at each vertex's inside ports, then at its outside ports."""
+    return [
+        [[gadget.edges[(p - 2) >> 1] for p in at[v]] for v in range(n)]
+        for at in (gadget.inside_at, gadget.outside_at)
+    ]
+
+
+def test_each_peeled_trail_is_applied_to_pool_ends_and_host(monkeypatch):
+    """After each trail ``Peel`` yields in ``decide``, its pool holds exactly
+    the edges left, its ``ends`` are a fresh ``Ends`` and its host, once it
+    has one, has a fresh whole-host gadget's ports at every vertex. Checked
+    on the peel-loop cases, 150 planted tight cycles at slack 1 (the host is
+    given) and many-cycle hosts (the host is built at the first alternately
+    tight cycle). Each ``_process`` builds at most one ``Ends`` and at most
+    one gadget besides its pool, over the whole host."""
+    checked = Counter()
+    builds = None  # the gadget pools and the Ends built in the running _process
+
+    def check(peel: decider.Peel) -> None:
+        ctx, target = peel.current, peel.target
+        assert set(peel.pool.index) == ctx.edge_set ^ target.edge_set
+        fresh = Ends(ctx, peel.bounds)
+        assert (peel.ends.room, peel.ends.spare) == (fresh.room, fresh.spare)
+        if peel.host is not None:
+            g = ctx.graph
+            assert _ports(peel.host, g.n) == _ports(Gadget(g, g.edge_ids, ctx.edge_set), g.n)
+            checked["host"] += 1
+        checked["state"] += 1
+
+    class CheckedPeel(decider.Peel):
+        def __init__(self, graph, bounds, current, target, host=None):
+            super().__init__(graph, bounds, current, target, host)
+            self.target = target
+
+        def __iter__(self):
+            # each trail is applied when the next is asked for, so every check
+            # sees the state after the trails yielded so far
+            for item in super().__iter__():
+                check(self)
+                yield item
+            check(self)
+
+    def counted_gadget(graph, pool, member):
+        pool = set(pool)
+        if builds is not None:
+            builds["pools"].append(pool)
+        return Gadget(graph, pool, member)
+
+    def counted_ends(current, bounds):
+        if builds is not None:
+            builds["ends"] += 1
+        return Ends(current, bounds)
+
+    process = decider._process
+
+    def counted_process(inst, trace, host=None):
+        nonlocal builds
+        builds = {"pools": [], "ends": 0}
+        try:
+            return process(inst, trace, host)
+        finally:
+            pools, ends = builds["pools"], builds["ends"]
+            builds = None
+            assert ends <= 1
+            assert pools[0] == inst.source.edge_set ^ inst.target.edge_set
+            assert len(pools) <= 2 and all(p == set(inst.graph.edge_ids) for p in pools[1:])
+
+    monkeypatch.setattr(decider, "Peel", CheckedPeel)
+    monkeypatch.setattr(decider, "Gadget", counted_gadget)
+    monkeypatch.setattr(decider, "Ends", counted_ends)
+    monkeypatch.setattr(decider, "_process", counted_process)
+    for instance in peel_loop_cases():
+        decide(instance)
+    rng = random.Random(21)
+    for j in range(150):
+        decide(planted_tight_cycles(rng, 100 + j, rng.randint(2, 4), locked=j % 3 == 0))
+    given = checked["host"]
+    for m in (800, 1600):
+        decide(many_cycle_instance(random.Random(m), m, m // 160))
+    assert checked["state"] > 1000 and given > 100 and checked["host"] - given > 10

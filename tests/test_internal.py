@@ -14,7 +14,7 @@ from dcsreconf.core import (
     is_ab_constrained,
     verify_move_sequence,
 )
-from dcsreconf.decider import peel
+from dcsreconf.decider import Peel
 from dcsreconf.errors import (
     ContractError,
     NeedsK2Error,
@@ -304,7 +304,7 @@ def _random_trail_cases(seed, want):
         if current == target:
             continue
         state = current.copy()
-        for trail, _ in peel(host, b, state, target):
+        for trail, _ in Peel(host, b, state, target):
             cases.append((host, b, state.copy(), trail))
             state.flip(trail.edges)
     return cases[:want]
@@ -413,7 +413,7 @@ def test_piece_orders_are_tested_on_end_degrees():
         pairs = [(i.source, i.target)] + [rng.sample(states, 2) for _ in range(40)]
         for source, target in pairs:
             state = source.copy()
-            for trail, _ in peel(i.graph, b, state, target):
+            for trail, _ in Peel(i.graph, b, state, target):
                 tt = len(trail)
                 pinned = any(b.lower[v] == b.upper[v] for v in trail.vertices)
                 if tt % 2 == 0 and tt >= 4 and not pinned:

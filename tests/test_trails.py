@@ -5,7 +5,7 @@ import pytest
 
 from dcsreconf.augmenting import find_alternating_trail
 from dcsreconf.core import DegreeBounds, Graph, Subgraph, is_ab_constrained, symmetric_difference
-from dcsreconf.decider import alternating_trail_decomposition, peel
+from dcsreconf.decider import Peel, alternating_trail_decomposition
 from dcsreconf.errors import ContractError
 from dcsreconf.oracle import enumerate_ab_constrained
 from dcsreconf.trail_type import Trail
@@ -234,7 +234,7 @@ def test_decomposition_takes_the_trails_of_fresh_searches():
         if inst.source == inst.target:
             continue
         cur = inst.source.copy()
-        for trail, _ in peel(inst.graph, inst.bounds, cur, inst.target):
+        for trail, _ in Peel(inst.graph, inst.bounds, cur, inst.target):
             snap = cur.copy()
             grows = find_augmenting_trail(inst.graph, inst.bounds, snap, inst.target) is not None
             fresh = next_growing_trail(inst.graph, inst.bounds, snap, inst.target)

@@ -9,11 +9,8 @@ from .core import (
     Move,
     Subgraph,
     apply_move,
-    degree_in,
     is_ab_constrained,
-    symmetric_difference,
     verify_move_sequence,
-    vertex_tightness,
 )
 from .decider import Decision, Witness, alternating_trail_decomposition, decide, decide_with_trace
 from .instance_io import parse_instance, serialize_decision, serialize_instance
@@ -46,7 +43,6 @@ __all__ = [
     "classify_trail",
     "decide",
     "decide_with_trace",
-    "degree_in",
     "enumerate_ab_constrained",
     "find_augmenting_trail",
     "find_maximal_alternating_trail",
@@ -59,7 +55,5 @@ __all__ = [
     "parse_instance",
     "serialize_decision",
     "serialize_instance",
-    "symmetric_difference",
     "verify_move_sequence",
-    "vertex_tightness",
 ]

@@ -16,15 +16,17 @@ search state. A port's neighbours are generated during the search: the ports
 of the opposite side at its vertex, then sigma. Sigma is adjacent to the
 ports at a source on the first edge's side, outside unless the caller sets
 ``first_inside``; tau to the outside ports at an add sink and the member
-ports at a remove sink, whichever side the trail starts on. The search tests
-each port for that as it becomes outer. One gadget serves every search of a
-loop: ``drop`` takes edges out of the pool, ``restore`` puts them back,
-``flip`` moves them to the other side, and each search resets only the
-nodes it reached. ``find_alternating_trail`` is the one-shot form.
+ports at a remove sink, whichever side the trail starts on. Tau is never
+built: the search tests each port for it as the port becomes outer. Sigma is
+node 0 and the first entry of the search queue, expanded like any other outer
+node. One gadget serves every search of a loop: ``drop`` takes edges out of
+the pool, ``restore`` puts them back, ``flip`` moves them to the other side,
+and each search resets only the nodes it reached. ``find_alternating_trail`` is the one-shot form.
 
 A search pays for what it finds: it returns as soon as it queues a port at
-a sink, without expanding the ports queued before it, so a short trail costs
-about as much as the ports the search queues on the way.
+a sink, without expanding the ports queued before it, and walks that port's
+tree back to sigma straight into the ``Trail``. So a short trail costs about
+as much as the ports the search queues on the way.
 
 ``Ends`` holds where a trail around a subgraph may end, kept in step at each
 flipped trail's two ends, and the one closing rule: a trail may end back at
@@ -43,21 +45,22 @@ trails reach plus one missed search per start.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator
 
 from .core import DegreeBounds, Graph, Subgraph
 from .trail_type import Trail
 
 _SIGMA = 0
-_TAU = 1
 
 
 class Gadget:
     """The port gadget of an edge pool around a member set, kept across searches.
 
-    Node ``2 + 2j`` is the port of the pool's ``j``-th edge (in index order)
-    at its first endpoint and ``3 + 2j`` the one at its second; the numbering
-    stays fixed when edges are dropped, restored or flipped.
+    Node 0 is sigma and node 1 is unused (tau has no node). Node ``2 + 2j``
+    is the port of the pool's ``j``-th edge (in index order) at its first
+    endpoint and ``3 + 2j`` the one at its second; the numbering stays fixed
+    when edges are dropped, restored or flipped.
     """
 
     def __init__(self, graph: Graph, pool: Iterable[int], member: set[int]):
@@ -159,8 +162,7 @@ class Gadget:
     ) -> Trail | None:
         if not self.index or not sources or not (add_sinks or remove_sinks):
             return None
-        node_path = _augmenting_node_path(self, sources, add_sinks, remove_sinks, first_inside)
-        return None if node_path is None else _decode(self, node_path)
+        return _augmenting_node_path(self, sources, add_sinks, remove_sinks, first_inside)
 
 
 def find_alternating_trail(
@@ -254,7 +256,7 @@ def growing_trails(gadget: Gadget, ends: Ends) -> Iterator[Trail]:
 
     # One-edge trails first, at each start in vertex order: the first outside
     # port whose far end has room. With drops, while any one-edge trail is
-    # left, that is the trail the multi-source root expansion returns first.
+    # left, that is the trail a search from all starts at once returns first.
     for x in starts:
         while x in room:
             far = next((match[p] for p in outside_at[x] if vertex_of[match[p]] in room), None)
@@ -268,41 +270,26 @@ def growing_trails(gadget: Gadget, ends: Ends) -> Iterator[Trail]:
             yield trail
 
 
-def _decode(gadget: Gadget, node_path: list[int]) -> Trail:
-    """Turn a terminal-to-terminal gadget path back into a trail."""
-    assert node_path[0] == _SIGMA and node_path[-1] == _TAU
-    inner = node_path[1:-1]
-    assert inner and len(inner) % 2 == 0
-    vertex_of = gadget.vertex_of
-
-    edges: list[int] = []
-    vertices: list[int] = []
-    for i in range(0, len(inner), 2):
-        entry, arrive = inner[i], inner[i + 1]
-        assert gadget.match[entry] == arrive, "gadget path lost alternation"
-        from_v = vertex_of[entry]
-        if not vertices:
-            vertices.append(from_v)
-        assert vertices[-1] == from_v, "gadget path lost vertex continuity"
-        edges.append(gadget.edges[(entry - 2) >> 1])
-        vertices.append(vertex_of[arrive])
-    return Trail(tuple(vertices), tuple(edges))
-
-
 def _augmenting_node_path(
     gadget: Gadget,
     sources: set[int],
     add_sinks: set[int],
     remove_sinks: set[int],
     first_inside: bool,
-) -> list[int] | None:
-    """Blossom search for an augmenting path from sigma to tau.
+) -> Trail | None:
+    """Blossom search for an augmenting path from sigma to tau, returned as its trail.
 
-    Sigma's neighbours are the ports at a source on the first edge's side.
-    Tau's neighbours are the ports at a sink (inside at a remove sink, outside
-    at an add sink), so the search returns as soon as such a port becomes
-    outer: at the root's expansion, by tree growth, or in a blossom once it is
-    relabelled. Blossom contraction keeps explicit member lists per base class
+    The name predates the ``Trail`` return and stays because the benchmark's
+    traced run wraps it as the blossom layer (``perfbench/tracer.py``).
+
+    The queue starts as ``[sigma]``, and sigma is expanded like any other
+    outer node: its neighbours are the ports at a source on the first edge's
+    side, taken lazily in source order. An edge with both ends at sources
+    closes a blossom based at sigma. Tau's neighbours are the ports at a sink
+    (inside at a remove sink, outside at an add sink), so the search returns
+    at the first port at a sink that becomes outer, by tree growth or in a
+    blossom once it is relabelled, walking its tree back to sigma into the
+    trail. Blossom contraction keeps explicit member lists per base class
     (in a per-search dict) so each event touches only the absorbed nodes. The
     gadget's search arrays are left as found, early return included: the
     queue keeps every outer node, every other node the search reached is the
@@ -312,10 +299,9 @@ def _augmenting_node_path(
     match, vertex_of, inside = gadget.match, gadget.vertex_of, gadget.inside
     inside_at, outside_at = gadget.inside_at, gadget.outside_at
     first_at = inside_at if first_inside else outside_at  # sigma's side
-    root = _SIGMA
     members: dict[int, list[int]] = {}
-    used[root] = True
-    queue: list[int] = []  # never shrinks: ``head`` is the next node to expand
+    used[_SIGMA] = True
+    queue = [_SIGMA]  # never shrinks: ``head`` is the next node to expand
     epoch = gadget.epoch
     sinks = (add_sinks, remove_sinks)  # indexed by ``inside``: tau's neighbours
 
@@ -344,34 +330,34 @@ def _augmenting_node_path(
             child = match[v]
             v = parent[match[v]]
 
+    def trail_to(v: int) -> Trail:
+        # The tree path from sigma to the outer port ``v``, one edge per
+        # matched pair; alternation and even length hold by construction.
+        vertices, edges = [vertex_of[v]], []
+        while v != _SIGMA:
+            entry = match[v]
+            edges.append(gadget.edges[(entry - 2) >> 1])
+            vertices.append(vertex_of[entry])
+            v = parent[entry]
+            assert v == _SIGMA or vertex_of[v] == vertex_of[entry], "lost vertex continuity"
+        return Trail(tuple(reversed(vertices)), tuple(reversed(edges)))
+
     try:
-        # The root's expansion: each port on sigma's side at a source becomes
-        # inner and its partner outer; when the partner is inner already (both
-        # ends of the edge are sources), the edge closes a blossom whose base
-        # is the root. The root's class is never absorbed, so its member list
-        # is not kept.
-        for x in sorted(sources):
-            for u in first_at[x]:
-                w = match[u]
-                parent[u] = root
-                if parent[w] != -1:
-                    base[u] = base[w] = root
-                used[w] = True
-                queue.append(w)
-                if vertex_of[w] in sinks[inside[w]]:
-                    return _walk_back(w, parent, match)
         head = 0
         while head < len(queue):
             v = queue[head]
             head += 1
-            x = vertex_of[v]
-            neighbours = outside_at[x] if inside[v] else inside_at[x]
-            if inside[v] == first_inside and x in sources:
-                neighbours = neighbours + [_SIGMA]
+            if v == _SIGMA:
+                neighbours = chain.from_iterable(first_at[x] for x in sorted(sources))
+            else:
+                x = vertex_of[v]
+                neighbours = outside_at[x] if inside[v] else inside_at[x]
+                if inside[v] == first_inside and x in sources:
+                    neighbours = neighbours + [_SIGMA]
             for u in neighbours:
                 if base[v] == base[u] or match[v] == u:
                     continue
-                if u == root or parent[match[u]] != -1:
+                if u == _SIGMA or parent[match[u]] != -1:
                     stem = lca(v, u)
                     absorbed: list[int] = []
                     mark_path(v, stem, u, absorbed)
@@ -392,35 +378,21 @@ def _augmenting_node_path(
                         bucket.extend(group)
                     for w in queue[outer:]:
                         if vertex_of[w] in sinks[inside[w]]:
-                            return _walk_back(w, parent, match)
+                            return trail_to(w)
                 elif parent[u] == -1:
                     parent[u] = v
                     w = match[u]
                     used[w] = True
                     queue.append(w)
                     if vertex_of[w] in sinks[inside[w]]:
-                        return _walk_back(w, parent, match)
+                        return trail_to(w)
         return None
     finally:
         gadget.epoch = epoch
-        used[root] = False
-        for w in queue:
+        used[_SIGMA] = False
+        # Sigma is unmatched: its partner index -1 would reach the last port.
+        for w in islice(queue, 1, None):
             for i in (w, match[w]):
                 parent[i] = -1
                 base[i] = i
                 used[i] = False
-
-
-def _walk_back(outer: int, parent: list[int], match: list[int]) -> list[int]:
-    """The path from sigma to the outer port ``outer`` and on to tau."""
-    path = [_TAU]
-    v = outer
-    while True:
-        path.append(v)
-        if match[v] == -1:
-            break
-        w = match[v]
-        path.append(w)
-        v = parent[w]
-    path.reverse()
-    return path

@@ -199,41 +199,11 @@ class Instance:
             raise InputError("infeasible-target", "target violates the degree bounds")
 
 
-def degree_in(sub: Subgraph, v: int) -> int:
-    """Number of subgraph edges incident to ``v``."""
-    if not (0 <= v < sub.graph.n):
-        raise InputError("vertex-index", f"vertex {v} out of range")
-    return sub.degrees[v]
-
-
-def symmetric_difference(h: Subgraph, k: Subgraph) -> Subgraph:
-    """Edges in exactly one of the two subgraphs (same host required)."""
-    if h.graph is not k.graph:
-        raise InputError("host-mismatch", "subgraphs live on different host graphs")
-    return Subgraph(h.graph, h.edge_set ^ k.edge_set)
-
-
 def is_ab_constrained(sub: Subgraph, bounds: DegreeBounds) -> bool:
     """True iff every vertex degree lies within its bounds."""
     return all(
         bounds.lower[v] <= sub.degrees[v] <= bounds.upper[v] for v in range(sub.graph.n)
     )
-
-
-@dataclass(frozen=True)
-class Tightness:
-    a_tight: bool
-    b_tight: bool
-
-    @property
-    def fixed(self) -> bool:
-        return self.a_tight and self.b_tight
-
-
-def vertex_tightness(sub: Subgraph, bounds: DegreeBounds, v: int) -> Tightness:
-    """Whether ``v`` sits exactly at its lower and/or upper bound in ``sub``."""
-    d = degree_in(sub, v)
-    return Tightness(a_tight=(d == bounds.lower[v]), b_tight=(d == bounds.upper[v]))
 
 
 def apply_move(sub: Subgraph, move: Move) -> Subgraph:

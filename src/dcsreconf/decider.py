@@ -118,8 +118,6 @@ def _decide_core(inst: Instance, trace: list[TraceEntry]) -> Decision:
 
 
 def _solve(inst: Instance, trace: list[TraceEntry]) -> Decision:
-    if inst.source == inst.target:
-        return Decision.accept(())
     if len(inst.source) > len(inst.target):
         swapped = Instance(inst.graph, inst.bounds, inst.target, inst.source, inst.k)
         decision = _solve(swapped, trace)

@@ -10,12 +10,9 @@ from dcsreconf.core import (
     Instance,
     Move,
     apply_move,
-    degree_in,
     is_ab_constrained,
     reversed_moves,
-    symmetric_difference,
     verify_move_sequence,
-    vertex_tightness,
 )
 from dcsreconf.errors import IllegalMoveError, InputError
 
@@ -41,45 +38,11 @@ def test_bounds_validation():
         DegreeBounds(g, [-1, 0, 0], [1, 2, 1])
 
 
-def test_degree_in_examples():
-    g = cycle_graph(4)
-    assert degree_in(sub(g), 0) == 0
-    full = sub(g, range(4))
-    assert all(degree_in(full, v) == 2 for v in range(4))
-    star = graph(4, [(0, 1), (0, 2), (0, 3)])
-    assert degree_in(sub(star, [0, 1]), 0) == 2
-    with pytest.raises(InputError):
-        degree_in(sub(g), 9)
-
-
-def test_symmetric_difference_examples():
-    g = cycle_graph(4)
-    h = sub(g, [0, 1])
-    assert symmetric_difference(h, h).edge_set == set()
-    assert symmetric_difference(h, sub(g)).edge_set == {0, 1}
-    assert symmetric_difference(sub(g, [0, 1]), sub(g, [1, 2])).edge_set == {0, 2}
-    other = cycle_graph(4)
-    with pytest.raises(InputError):
-        symmetric_difference(h, sub(other))
-
-
 def test_is_ab_constrained_examples():
     g = cycle_graph(4)
     assert is_ab_constrained(sub(g), bounds(g, 0, 1))
     assert not is_ab_constrained(sub(g), bounds(g, [1, 0, 0, 0], 1))
     assert is_ab_constrained(sub(g, [0, 2]), bounds(g, 0, 1))
-
-
-def test_vertex_tightness_examples():
-    g = path_graph(3)
-    b = bounds(g, [0, 0, 0], [1, 2, 1])
-    t = vertex_tightness(sub(g), b, 0)
-    assert t.a_tight and not t.b_tight
-    b2 = bounds(g, [1, 0, 0], [1, 2, 1])
-    t2 = vertex_tightness(sub(g, [0]), b2, 0)
-    assert t2.a_tight and t2.b_tight and t2.fixed
-    t3 = vertex_tightness(sub(g, [0]), b, 1)
-    assert not t3.a_tight and not t3.b_tight
 
 
 def test_apply_move_examples():
@@ -138,24 +101,12 @@ def test_instance_validation():
 _small_edge_sets = st.sets(st.integers(min_value=0, max_value=5), max_size=6)
 
 
-@given(_small_edge_sets, _small_edge_sets, _small_edge_sets)
-@settings(max_examples=80)
-def test_symmetric_difference_algebra(xs, ys, zs):
-    g = graph(6, [(i, (i + 1) % 6) for i in range(6)])
-    a, b_, c = sub(g, xs), sub(g, ys), sub(g, zs)
-    assert symmetric_difference(a, b_) == symmetric_difference(b_, a)
-    left = symmetric_difference(symmetric_difference(a, b_), c)
-    right = symmetric_difference(a, symmetric_difference(b_, c))
-    assert left == right
-    assert symmetric_difference(a, a).edge_set == set()
-
-
 @given(_small_edge_sets)
 @settings(max_examples=50)
 def test_degree_sum_is_twice_edges(xs):
     g = graph(6, [(i, (i + 1) % 6) for i in range(6)])
     s = sub(g, xs)
-    assert sum(degree_in(s, v) for v in range(g.n)) == 2 * len(s)
+    assert sum(s.degrees) == 2 * len(s)
 
 
 @given(_small_edge_sets, st.integers(min_value=0, max_value=5))

@@ -30,7 +30,7 @@ from dcsreconf.internal import (
     _odd_shrink,
     check_internal_conditions,
 )
-from dcsreconf.oracle import enumerate_ab_constrained
+from dcsreconf.oracle import enumerate_ab_constrained, oracle_decide
 from dcsreconf.trail_type import Trail, inside_first
 from dcsreconf.trails import classify_trail, TrailClass
 
@@ -278,6 +278,49 @@ def test_closed_even_rejects_alternately_tight():
     t = Trail((0, 1, 2, 3, 0), (0, 1, 2, 3))
     with pytest.raises(NotInternallyReconfigurableError):
         on_copy(_closed_even, t, sub(g, [0, 2]), b, allow_deep_dip=True)
+
+
+@pytest.mark.parametrize(
+    "edges, lower, upper, current, want",
+    [
+        # mixed-tight: the scan first meets a vertex off its bound at the odd
+        # position of vertex 3, so it cuts the reversed cycle
+        (
+            [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (0, 5), (2, 6), (2, 7)],
+            [3, 0, 1, 0, 0, 0, 0, 0],
+            [4, 1, 2, 2, 1, 1, 1, 1],
+            [0, 2, 4, 5],
+            [Move(ADD, 3), Move(REMOVE, 0), Move(ADD, 1), Move(REMOVE, 2)],
+        ),
+        # lower-tight: vertex 2 sits at its lower bound, so the cut is taken
+        # at the reversed cycle's vertex 3
+        (
+            [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (1, 5), (1, 6), (2, 7)],
+            [2, 2, 2, 0, 0, 0, 0, 0],
+            [3, 3, 3, 1, 1, 1, 1, 1],
+            [0, 2, 4, 5, 7],
+            [Move(ADD, 1), Move(REMOVE, 2), Move(ADD, 3), Move(REMOVE, 0)],
+        ),
+    ],
+    ids=["mixed-tight", "lower-tight"],
+)
+def test_closed_split_cuts_the_reversed_cycle(edges, lower, upper, current, want):
+    """``_closed_split`` cuts a 4-cycle in its reversed orientation when the
+    forward scan finds no cut; both workers emit one move per cycle edge,
+    and the sequence replays."""
+    g = graph(8, edges)
+    b = DegreeBounds(g, lower, upper)
+    state = sub(g, current)
+    t = Trail((0, 1, 2, 3, 0), (0, 1, 2, 3))
+    target = Subgraph(g, state.edge_set ^ set(t.edges))
+    i = Instance(g, b, state, target, 1)
+    assert oracle_decide(i)
+    for moves in (
+        on_copy(_elementary, t, state, b),
+        on_copy(_closed_even, t, state, b, allow_deep_dip=False),
+    ):
+        assert moves == want
+        assert verify_move_sequence(i, moves)
 
 
 def test_long_revisiting_trail_flips_at_tight_floor():

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from dcsreconf.augmenting import find_alternating_trail
-from dcsreconf.core import DegreeBounds, Graph, Subgraph, is_ab_constrained, symmetric_difference
+from dcsreconf.core import DegreeBounds, Graph, Subgraph, is_ab_constrained
 from dcsreconf.decider import Peel, alternating_trail_decomposition
 from dcsreconf.errors import ContractError
 from dcsreconf.oracle import enumerate_ab_constrained
@@ -240,7 +240,7 @@ def test_decomposition_takes_the_trails_of_fresh_searches():
             fresh = next_growing_trail(inst.graph, inst.bounds, snap, inst.target)
             assert grows == (fresh is not None)
             if fresh is None:
-                diff = symmetric_difference(snap, inst.target)
+                diff = Subgraph(inst.graph, snap.edge_set ^ inst.target.edge_set)
                 fresh = find_maximal_alternating_trail(diff, snap, min(diff.edge_set))
                 closed += fresh.is_closed
                 pinned += any(inst.bounds.lower[v] == inst.bounds.upper[v] for v in fresh.vertices)

@@ -21,7 +21,10 @@ built: the search tests each port for it as the port becomes outer. Sigma is
 node 0 and the first entry of the search queue, expanded like any other outer
 node. One gadget serves every search of a loop: ``drop`` takes edges out of
 the pool, ``restore`` puts them back, ``flip`` moves them to the other side,
-and each search resets only the nodes it reached. ``find_alternating_trail`` is the one-shot form.
+and each search resets only the nodes it reached. ``find_alternating_trail``
+is the one-shot form. The same port lists serve the peel's maximal walk
+(``maximal_trail``): each step reads the pool's opposite-side list at the
+end vertex, never the host's incidence lists.
 
 A search pays for what it finds: it returns as soon as it queues a port at
 a sink, without expanding the ports queued before it, and walks that port's
@@ -84,10 +87,13 @@ class Gadget:
 
     def drop(self, edges: Iterable[int]) -> None:
         """Take the edges out of the pool."""
+        index, vertex_of, inside = self.index, self.vertex_of, self.inside
+        inside_at, outside_at = self.inside_at, self.outside_at
         for e in edges:
-            j = self.index.pop(e)
+            j = index.pop(e)
             for port in (2 + 2 * j, 3 + 2 * j):
-                self._unlink(port)
+                ports = (inside_at if inside[port] else outside_at)[vertex_of[port]]
+                del ports[bisect_left(ports, port)]
 
     def restore(self, edges: Iterable[int]) -> None:
         """Put the dropped edges back into the pool, each on the side it left from."""
@@ -101,7 +107,8 @@ class Gadget:
         for e in edges:
             j = self.index[e]
             for port in (2 + 2 * j, 3 + 2 * j):
-                self._unlink(port)
+                ports = self._side_list(port)
+                del ports[bisect_left(ports, port)]
                 self.inside[port] = not self.inside[port]
                 insort(self._side_list(port), port)
 
@@ -109,9 +116,45 @@ class Gadget:
         at = self.inside_at if self.inside[port] else self.outside_at
         return at[self.vertex_of[port]]
 
-    def _unlink(self, port: int) -> None:
-        ports = self._side_list(port)
-        del ports[bisect_left(ports, port)]
+    def maximal_trail(self, start: int) -> Trail:
+        """The maximal alternating trail around the pool edge ``start``.
+
+        Both ends are extended greedily, each step taking the first port of
+        an unused edge in the end vertex's opposite-side list, which is in
+        edge order, until neither end can go on; the trail closes by itself
+        when its ends meet. It is oriented so its first edge is the smaller
+        of its two end edges.
+        """
+        vertex_of, inside = self.vertex_of, self.inside
+        inside_at, outside_at = self.inside_at, self.outside_at
+        first = 2 + 2 * self.index[start]
+        used = {first >> 1}  # an edge's two ports share ``port >> 1``
+
+        def extend(end: int) -> list[int]:
+            # The ports the walk leaves from, one per edge, from the end port
+            # of the edge it arrived on.
+            taken = []
+            while True:
+                for port in (outside_at if inside[end] else inside_at)[vertex_of[end]]:
+                    if port >> 1 not in used:
+                        break
+                else:
+                    return taken
+                used.add(port >> 1)
+                taken.append(port)
+                end = port ^ 1
+
+        # The back grows first; a front step only uses up edges, so a stuck
+        # back stays stuck.
+        back = extend(first + 1)
+        front = extend(first)
+        ports = [port ^ 1 for port in reversed(front)] + [first] + back
+        edges = self.edges
+        trail = Trail(
+            tuple([vertex_of[port] for port in ports] + [vertex_of[ports[-1] ^ 1]]),
+            tuple([edges[(port - 2) >> 1] for port in ports]),
+        )
+        return trail.reversed() if trail.edges[0] > trail.edges[-1] else trail
 
     def search(
         self,
@@ -250,7 +293,7 @@ def growing_trails(gadget: Gadget, ends: Ends) -> Iterator[Trail]:
     cursor finds.
     """
     room, closes = ends.room, ends.closes(False)
-    outside_at, vertex_of, match = gadget.outside_at, gadget.vertex_of, gadget.match
+    outside_at, vertex_of, edges = gadget.outside_at, gadget.vertex_of, gadget.edges
     # Only a vertex with a non-member edge in the pool can start a growing trail.
     starts = sorted(v for v in room if outside_at[v])
 
@@ -259,10 +302,12 @@ def growing_trails(gadget: Gadget, ends: Ends) -> Iterator[Trail]:
     # left, that is the trail a search from all starts at once returns first.
     for x in starts:
         while x in room:
-            far = next((match[p] for p in outside_at[x] if vertex_of[match[p]] in room), None)
-            if far is None:
+            for p in outside_at[x]:
+                if vertex_of[p ^ 1] in room:
+                    break
+            else:
                 break
-            yield Trail((x, vertex_of[far]), (gadget.edges[(far - 2) >> 1],))
+            yield Trail((x, vertex_of[p ^ 1]), (edges[(p - 2) >> 1],))
     # Then one search from each start in vertex order, until it misses or the
     # start has no room left.
     for x in starts:
@@ -355,7 +400,7 @@ def _augmenting_node_path(
                 if inside[v] == first_inside and x in sources:
                     neighbours = neighbours + [_SIGMA]
             for u in neighbours:
-                if base[v] == base[u] or match[v] == u:
+                if base[v] == base[u]:
                     continue
                 if u == _SIGMA or parent[match[u]] != -1:
                     stem = lca(v, u)

@@ -236,17 +236,18 @@ def verify_move_sequence(inst: Instance, seq: list[Move]) -> VerificationResult:
     """
     floor = inst.size_floor()
     cur = inst.source.copy()
+    lower, upper, endpoints = inst.bounds.lower, inst.bounds.upper, inst.graph.edges
+    degrees, present = cur.degrees, cur.edge_set
     for i, move in enumerate(seq):
         try:
             apply_move(cur, move)
         except IllegalMoveError as exc:
             return VerificationResult(False, i, f"illegal move: {exc.message}")
-        u, v = inst.graph.edges[move.edge]
-        for w in (u, v):
-            if not inst.bounds.lower[w] <= cur.degrees[w] <= inst.bounds.upper[w]:
+        for w in endpoints[move.edge]:
+            if not lower[w] <= degrees[w] <= upper[w]:
                 return VerificationResult(False, i, f"degree bound violated at vertex {w}")
-        if len(cur) < floor:
-            return VerificationResult(False, i, f"size {len(cur)} fell below floor {floor}")
+        if len(present) < floor:
+            return VerificationResult(False, i, f"size {len(present)} fell below floor {floor}")
     if cur != inst.target:
         return VerificationResult(False, len(seq), "final state differs from target")
     return VerificationResult(True)

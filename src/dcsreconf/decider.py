@@ -40,10 +40,10 @@ from .internal import _closed_even, _elementary, _odd_grow, _odd_shrink
 from .obstructions import fixed_edge_witness, m_fixed_subgraph, restrict_instance
 from .solver import augment_trail, is_maximum
 from .trail_type import Trail
-from .trails import TrailClass, classify_trail, find_maximal_alternating_trail
-# Not called here; bound because the benchmark's traced run wraps this name
+from .trails import TrailClass, classify_trail
+# Not called here; bound because the benchmark's traced run wraps these names
 # (``perfbench/tracer.py``, ``_WRAPS``).
-from .trails import find_augmenting_trail  # noqa: F401
+from .trails import find_augmenting_trail, find_maximal_alternating_trail  # noqa: F401
 
 FIXED_EDGE = "fixed-edge"
 LOCKED_B_TIGHT_CYCLE = "locked-btight-cycle"
@@ -217,7 +217,7 @@ class Peel:
             if trail is None:
                 while order[cursor] not in pool.index:
                     cursor += 1
-                trail = find_maximal_alternating_trail(pool.index, current, order[cursor])
+                trail = pool.maximal_trail(order[cursor])
             cls = classify_trail(trail, current, bounds)
             if cls is TrailClass.M_AUGMENTING and not growing:
                 raise SynthesisError("fallback trail classified as growing: search is incomplete")
@@ -261,6 +261,7 @@ def _process(inst: Instance, trace: list[TraceEntry], host: Gadget | None = None
     # subgraphs at slack 1, where upper-tight cycles escape; else
     # ``peel.host`` is built at the first alternately tight cycle.
     escapes = host is not None
+    target_size = len(inst.target)
     peel = Peel(graph, bounds, ctx, inst.target, host)
     for trail, cls in peel:
         before = len(out)
@@ -268,7 +269,7 @@ def _process(inst: Instance, trace: list[TraceEntry], host: Gadget | None = None
             _odd_grow(trail, ctx, bounds, out)
             rule = "grow"
         elif cls is TrailClass.N_AUGMENTING:
-            if len(ctx) < len(inst.target):
+            if len(ctx) < target_size:
                 raise SynthesisError("shrinking trail while below target size")
             _odd_shrink(trail, ctx, bounds, out)
             rule = "shrink"

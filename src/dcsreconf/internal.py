@@ -84,8 +84,9 @@ def _emit(ctx: Subgraph, bounds: DegreeBounds, out: list[Move], kind: str, edge:
             ctx.remove(edge)
     except Exception as exc:  # noqa: BLE001 - rewrapped with synthesis context
         raise SynthesisError(f"synthesized an illegal move {kind} {edge}: {exc}") from exc
+    lower, upper, degrees = bounds.lower, bounds.upper, ctx.degrees
     for v in ctx.graph.edges[edge]:
-        if not bounds.lower[v] <= ctx.degrees[v] <= bounds.upper[v]:
+        if not lower[v] <= degrees[v] <= upper[v]:
             raise SynthesisError(
                 f"synthesized move {kind} {edge} violates bounds at vertex {v}"
             )
@@ -253,6 +254,9 @@ def _odd(trail: Trail, ctx: Subgraph, bounds: DegreeBounds, out: list[Move], gro
         if room < need:
             raise NotInternallyReconfigurableError(condition, v)
     end_move = ADD if grow else REMOVE
+    if len(trail) == 1:
+        _emit(ctx, bounds, out, end_move, trail.edges[0])
+        return
 
     def can_pivot(v: int) -> bool:  # can move one step against the flip's way
         return ctx.degrees[v] > bounds.lower[v] if grow else ctx.degrees[v] < bounds.upper[v]

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from operator import ne
 
 from .core import Graph, Subgraph
 from .errors import ContractError
@@ -18,7 +20,7 @@ class Trail:
     def __post_init__(self):
         if len(self.vertices) != len(self.edges) + 1:
             raise ContractError("trail: vertex/edge sequence lengths inconsistent")
-        if len(set(self.edges)) != len(self.edges):
+        if len(self.edges) > 1 and len(set(self.edges)) != len(self.edges):
             raise ContractError("trail: repeated edge")
 
     def __len__(self) -> int:
@@ -61,8 +63,10 @@ def single_edge_trail(graph: Graph, e: int, start: int) -> Trail:
 
 def alternates(trail: Trail, current: Subgraph) -> bool:
     """True iff trail edges alternate in/out of ``current`` along the sequence."""
-    sides = [e in current for e in trail.edges]
-    return all(sides[i] != sides[i + 1] for i in range(len(sides) - 1))
+    if len(trail.edges) < 2:
+        return True
+    sides = list(map(current.edge_set.__contains__, trail.edges))
+    return all(map(ne, sides, islice(sides, 1, None)))
 
 
 def inside_first(trail: Trail, current: Subgraph) -> Trail:

@@ -1,15 +1,16 @@
 """Alternating-trail search and classification.
 
 Growing trails come from a gadget search, maximal trails from a greedy walk
-around one edge; ``classify_trail`` picks the single case a peeled trail
-falls under. The loop that peels current^target into trails is
-``decider.Peel``, which hands the maximal walk the edges left in its pool.
+around one edge over a gadget's pool (``augmenting.Gadget.maximal_trail``);
+``classify_trail`` picks the single case a peeled trail falls under. The loop
+that peels current^target into trails is ``decider.Peel``, which walks its
+own pool gadget, the edges left.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Container
+from typing import Collection
 
 from .augmenting import Gadget, find_alternating_trail, growing_trail
 from .core import DegreeBounds, Graph, Subgraph
@@ -35,47 +36,20 @@ class TrailClass(Enum):
     ALT_AB_TIGHT_CYCLE = "alt-ab-tight-cycle"
 
 
-def find_maximal_alternating_trail(diff: Container, current: Subgraph, start_edge: int) -> Trail:
+def find_maximal_alternating_trail(
+    diff: Collection[int], current: Subgraph, start_edge: int
+) -> Trail:
     """Grow a maximal alternating trail in ``diff`` around ``start_edge``.
 
-    ``diff`` is any container of edge ids of ``current``'s graph. Both ends
-    are extended greedily (smallest admissible edge index first) until no
-    unused edge of the opposite side continues the sequence; the
-    construction closes the trail automatically when the ends meet.
+    ``diff`` holds edge ids of ``current``'s graph. Both ends are extended
+    greedily (smallest admissible edge index first) until no unused edge of
+    the opposite side continues the sequence; the construction closes the
+    trail automatically when the ends meet. One walk on a fresh gadget; see
+    ``Gadget.maximal_trail``, which a peel loop calls on its own pool.
     """
     if start_edge not in diff:
         raise ContractError(f"start edge {start_edge} not in the symmetric difference")
-    graph = current.graph
-    u, v = graph.edges[start_edge]
-    used = {start_edge}
-
-    def extension(at: int, side_of: int) -> int | None:
-        want_inside = side_of not in current
-        for e in graph.incident[at]:
-            if e in used or e not in diff:
-                continue
-            if (e in current) == want_inside:
-                return e
-        return None
-
-    def extend(vertices: list[int], edges: list[int]) -> None:
-        while (e := extension(vertices[-1], edges[-1])) is not None:
-            vertices.append(graph.other_end(e, vertices[-1]))
-            edges.append(e)
-            used.add(e)
-
-    # The back grows first; a front step only uses up edges, so a stuck back
-    # stays stuck. The front grows in its own lists, reversed once at the end.
-    back_vertices, back_edges = [u, v], [start_edge]
-    extend(back_vertices, back_edges)
-    front_vertices, front_edges = [v, u], [start_edge]
-    extend(front_vertices, front_edges)
-    trail = Trail(
-        tuple(front_vertices[:1:-1] + back_vertices), tuple(front_edges[:0:-1] + back_edges)
-    )
-    if trail.edges[0] > trail.edges[-1]:
-        trail = trail.reversed()
-    return trail
+    return Gadget(current.graph, diff, current.edge_set).maximal_trail(start_edge)
 
 
 def find_augmenting_trail(

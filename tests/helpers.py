@@ -77,6 +77,43 @@ def next_growing_trail(g: Graph, b: DegreeBounds, current: Subgraph, target: Sub
     return None
 
 
+def maximal_trail_by_incidence(diff, current: Subgraph, start_edge: int) -> Trail:
+    """The maximal alternating trail around ``start_edge`` by a walk over
+    ``graph.incident``: each end takes the least unused edge of ``diff`` on
+    the opposite side, the back end first.
+
+    Reference for ``Gadget.maximal_trail``, which walks its pool's
+    per-vertex port lists instead.
+    """
+    graph = current.graph
+    u, v = graph.edges[start_edge]
+    used = {start_edge}
+
+    def extension(at: int, side_of: int) -> int | None:
+        want_inside = side_of not in current
+        for e in graph.incident[at]:
+            if e in used or e not in diff:
+                continue
+            if (e in current) == want_inside:
+                return e
+        return None
+
+    def extend(vertices: list[int], edges: list[int]) -> None:
+        while (e := extension(vertices[-1], edges[-1])) is not None:
+            vertices.append(graph.other_end(e, vertices[-1]))
+            edges.append(e)
+            used.add(e)
+
+    back_vertices, back_edges = [u, v], [start_edge]
+    extend(back_vertices, back_edges)
+    front_vertices, front_edges = [v, u], [start_edge]
+    extend(front_vertices, front_edges)
+    trail = Trail(
+        tuple(front_vertices[:1:-1] + back_vertices), tuple(front_edges[:0:-1] + back_edges)
+    )
+    return trail.reversed() if trail.edges[0] > trail.edges[-1] else trail
+
+
 def library_lines(f, counts=None) -> int:
     """The line events in ``dcsreconf`` frames while ``f()`` runs.
 

@@ -201,6 +201,14 @@ def _odd_rejections():
         ),
         "grow-pinned-vertex": (_odd_grow, p, pinned, [1], three, stuck, "pinned-vertex", 2),
         "shrink-pinned-vertex": (_odd_shrink, p, pinned, [0, 2], three, stuck, "pinned-vertex", 2),
+        "grow-pinned-one-edge": (
+            _odd_grow, cherry, DegreeBounds(cherry, [0, 1, 0], [1, 1, 1]), [1], one, stuck,
+            "pinned-vertex", 1,
+        ),
+        "shrink-pinned-one-edge": (
+            _odd_shrink, cherry, DegreeBounds(cherry, [0, 2, 0], [1, 2, 1]), [0, 1], one, stuck,
+            "pinned-vertex", 1,
+        ),
         "grow-end-at-upper-bound": (
             _odd_grow, cherry, bounds(cherry, 0, 1), [1], one, stuck, "end-at-upper-bound", 1,
         ),

@@ -2,13 +2,15 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dcsreconf.augmenting import find_alternating_trail
+from dcsreconf.augmenting import Gadget, find_alternating_trail
 from dcsreconf.core import DegreeBounds, Graph, Subgraph, is_ab_constrained
 from dcsreconf.decider import Peel, alternating_trail_decomposition
 from dcsreconf.errors import ContractError
 from dcsreconf.oracle import enumerate_ab_constrained
-from dcsreconf.trail_type import Trail
+from dcsreconf.trail_type import Trail, alternates
 from dcsreconf.trails import (
     TrailClass,
     classify_trail,
@@ -22,10 +24,12 @@ from helpers import (
     cycle_graph,
     graph,
     loose_instance,
+    maximal_trail_by_incidence,
     next_growing_trail,
     path_graph,
     random_bounds,
     random_bounds_instance,
+    random_connected_graph,
     sub,
     validate_trail,
 )
@@ -90,6 +94,49 @@ def test_maximal_trail_grows_both_halves_of_a_long_path():
     path = Trail(tuple(range(length + 1)), tuple(index[p] for p in range(length)))
     assert path.edges[0] > path.edges[-1]
     assert t == path.reversed()
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_maximal_walk_matches_the_incidence_walk(seed):
+    """On a random pool with random edges dropped, the gadget's walk and the
+    walk over ``graph.incident`` return the same trail from every edge left."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 9)
+    g = random_connected_graph(rng, n, rng.randint(n - 1, n * (n - 1) // 2))
+    current = sub(g, [e for e in range(g.m) if rng.random() < 0.5])
+    pool = Gadget(g, [e for e in range(g.m) if rng.random() < 0.8], current.edge_set)
+    pool.drop([e for e in pool.edges if rng.random() < 0.3])
+    for e in pool.index:
+        expected = maximal_trail_by_incidence(pool.index, current, e)
+        assert pool.maximal_trail(e) == expected
+        assert find_maximal_alternating_trail(pool.index, current, e) == expected
+
+
+def test_maximal_trail_rejects_a_start_outside_the_difference():
+    g = path_graph(3)
+    with pytest.raises(ContractError, match="not in the symmetric difference"):
+        find_maximal_alternating_trail(sub(g, [0]), sub(g), 1)
+
+
+def test_trail_rejects_a_repeated_edge():
+    with pytest.raises(ContractError, match="trail: repeated edge"):
+        Trail((0, 1, 0), (0, 0))
+
+
+def test_trail_rejects_inconsistent_lengths():
+    with pytest.raises(ContractError, match="trail: vertex/edge sequence lengths inconsistent"):
+        Trail((0, 1), (0, 1))
+
+
+def test_alternates_on_one_edge_and_on_pairs():
+    g = path_graph(3)
+    current = sub(g, [0])
+    assert alternates(Trail((0, 1), (0,)), current)
+    assert alternates(Trail((1, 2), (1,)), current)
+    assert alternates(Trail((0, 1, 2), (0, 1)), current)
+    assert not alternates(Trail((0, 1, 2), (0, 1)), sub(g))
+    assert not alternates(Trail((0, 1, 2), (0, 1)), sub(g, [0, 1]))
 
 
 def test_augmenting_trail_single_edge():

@@ -22,7 +22,7 @@ import json
 from typing import Any
 
 from .core import DegreeBounds, Graph, Instance, Move, Subgraph
-from .decider import Decision, Witness
+from .decider import FIXED_EDGE, LOCKED_ALT_AB_TIGHT_CYCLE, LOCKED_B_TIGHT_CYCLE, Decision, Witness
 from .errors import ContractError, InputError
 from .trail_type import Trail
 
@@ -156,6 +156,13 @@ def parse_decision(text: str) -> Decision:
         w = doc.get("witness")
         if not isinstance(w, dict) or "kind" not in w:
             raise InputError("malformed-document", "no-answer requires a witness object")
+        if w["kind"] not in (FIXED_EDGE, LOCKED_B_TIGHT_CYCLE, LOCKED_ALT_AB_TIGHT_CYCLE):
+            raise InputError("malformed-document", f"witness has unknown kind {w['kind']!r}")
+        edge, context = w.get("edge"), w.get("context", "")
+        if edge is not None and type(edge) is not int:
+            raise InputError("malformed-document", "witness has a non-integer edge")
+        if type(context) is not str:
+            raise InputError("malformed-document", "witness context must be a string")
         cycle = None
         if "cycle-edges" in w:
             edges = _int_list(w, "cycle-edges", "malformed-document")
@@ -164,9 +171,7 @@ def parse_decision(text: str) -> Decision:
                 cycle = Trail(tuple(vertices), tuple(edges))
             except ContractError as exc:
                 raise InputError("malformed-document", f"witness cycle: {exc}") from exc
-        return Decision.reject(
-            Witness(w["kind"], edge=w.get("edge"), cycle=cycle, context=w.get("context", ""))
-        )
+        return Decision.reject(Witness(w["kind"], edge=edge, cycle=cycle, context=context))
     raise InputError("malformed-document", "unrecognized decision document")
 
 

@@ -1,9 +1,11 @@
 """Move synthesis for trails reconfigured inside the symmetric difference.
 
-The workhorse is a splitter driven by a work stack (so trail length is not
-limited by the recursion limit): an even alternating trail is cut into
-smaller even pieces whose reconfiguration order is chosen so that every
-piece's entry conditions hold in the subgraph produced by the earlier pieces.
+The workhorse is one splitter (``_split``) driven by a work stack (so trail
+length is not limited by the recursion limit), with one pivot rule: an even
+alternating trail is cut around its first two-edge piece that can flip now (a
+closed trail is first rotated to start there) into smaller even pieces whose
+reconfiguration order is chosen so that every piece's entry conditions hold
+in the subgraph produced by the earlier pieces.
 A trail is checked once, where it enters synthesis; its pieces inherit
 alternation and "no pinned vertex", and orders are tested on end degrees.
 The base case is a two-edge trail handled by one paired remove/add (ordered
@@ -29,7 +31,7 @@ from .errors import (
     NotInternallyReconfigurableError,
     SynthesisError,
 )
-from .trail_type import Trail, alternates, inside_first, reverse_keep_first_edge
+from .trail_type import Trail, alternates, inside_first
 from .trails import is_alternatingly_ab_tight
 
 @dataclass(frozen=True)
@@ -135,95 +137,55 @@ def _elementary(trail: Trail, ctx: Subgraph, bounds: DegreeBounds, out: list[Mov
                 _emit(ctx, bounds, out, ADD, t.edges[1])
                 _emit(ctx, bounds, out, REMOVE, t.edges[0])
             continue
-        parts = _closed_split(t, ctx, bounds) if t.is_closed else _open_split(t, ctx, bounds)
-        stack.extend(reversed(parts))
+        stack.extend(reversed(_split(t, ctx, bounds)))
 
 
-def _open_split(t: Trail, ctx: Subgraph, bounds: DegreeBounds) -> tuple[Trail, ...]:
-    """An open trail's pieces in an order whose entry conditions all hold."""
-    tt = len(t)
-    pivot = None
-    for i in range(0, tt - 1, 2):
-        v, w = t.vertices[i], t.vertices[i + 2]
-        if ctx.degrees[v] > bounds.lower[v] and ctx.degrees[w] < bounds.upper[w]:
-            pivot = i
-            break
+def _pivot(t: Trail, ctx: Subgraph, bounds: DegreeBounds) -> int | None:
+    """The first even position ``i`` of an inside-first trail whose two-edge
+    piece can flip now: ``v_i`` can shed an edge and ``v_{i+2}`` can take one."""
+    lower, upper, degrees, vs = bounds.lower, bounds.upper, ctx.degrees, t.vertices
+    for i in range(0, len(t) - 1, 2):
+        if degrees[vs[i]] > lower[vs[i]] and degrees[vs[i + 2]] < upper[vs[i + 2]]:
+            return i
+    return None
+
+
+def _split(t: Trail, ctx: Subgraph, bounds: DegreeBounds) -> tuple[Trail, ...]:
+    """An inside-first even trail's pieces in an order whose entry conditions
+    all hold: the two-edge piece at a pivot, then the prefix and the suffix.
+
+    A closed trail is first rotated to start at a pivot of one of its two
+    inside-first orientations, so its prefix is empty. One of them has a pivot.
+    Suppose an orientation has none. If one of its even positions can shed an
+    edge, the next even position sits at its upper bound, so it can shed too
+    (no vertex is pinned), and so on around the cycle: every even position
+    sits at its upper bound, or else every one at its lower bound. The other
+    orientation's even positions are the odd ones, so with no pivot there
+    either, the odd positions also share one bound. The four combinations are
+    uniformly upper-tight, uniformly lower-tight and the two phases of
+    alternately tight, which ``_degree_violation`` has excluded. The pivot
+    piece then flips first: its end gains a step and starts the rest (open,
+    as the host is simple), so that start can shed; its start sheds a step
+    and ends the rest, so that end can take an edge. ``_first_valid_order``
+    stays as the check on this.
+    """
+    if t.is_closed:
+        for oriented in (t, t.reversed().rotated(1)):
+            pivot = _pivot(oriented, ctx, bounds)
+            if pivot is not None:
+                t, pivot = oriented.rotated(pivot), 0
+                break
+    else:
+        pivot = _pivot(t, ctx, bounds)
     if pivot is None:
-        raise SynthesisError("open trail admits no two-edge pivot despite valid conditions")
+        raise SynthesisError("trail admits no two-edge pivot despite valid conditions")
+    tt = len(t)
     parts = [t.segment(pivot, pivot + 2)]  # the middle piece, then prefix and suffix
     if pivot > 0:
         parts.append(t.segment(0, pivot))
     if pivot + 2 < tt:
         parts.append(t.segment(pivot + 2, tt))
     return _first_valid_order(permutations(parts), ctx, bounds)  # the middle piece leads if it can
-
-
-def _closed_split(t: Trail, ctx: Subgraph, bounds: DegreeBounds) -> tuple[Trail, Trail]:
-    """A closed trail cut in two, in an order whose entry conditions both hold."""
-
-    def loose(v: int) -> bool:
-        return bounds.lower[v] < ctx.degrees[v] < bounds.upper[v]
-
-    def at_lower(v: int) -> bool:
-        return ctx.degrees[v] == bounds.lower[v]
-
-    def at_upper(v: int) -> bool:
-        return ctx.degrees[v] == bounds.upper[v]
-
-    tt = len(t)
-    v0, v1 = t.vertices[0], t.vertices[1]
-    candidates: list[tuple[Trail, Trail]] = []
-    if loose(v0) or loose(v1):
-        if not loose(v0):
-            t = reverse_keep_first_edge(t)
-        q = t.segment(0, 2)
-        r = t.segment(2, tt)
-        if not at_upper(t.vertices[2]):
-            candidates = [(q, r), (r, q)]
-        else:
-            candidates = [(r, q), (q, r)]
-    elif (at_lower(v0) and at_upper(v1)) or (at_upper(v0) and at_lower(v1)):
-        if at_upper(v0):
-            t = reverse_keep_first_edge(t)
-        # start sits at its lower bound, its neighbour at the upper one
-        for i in range(0, tt, 2):
-            if not at_lower(t.vertices[i]):
-                q = t.segment(i, tt)
-                r = t.segment(0, i)
-                candidates = [(q, r), (r, q)]
-                break
-            if not at_upper(t.vertices[i + 1]):
-                flipped = reverse_keep_first_edge(t)
-                q = flipped.segment(0, tt - i)
-                r = flipped.segment(tt - i, tt)
-                candidates = [(q, r), (r, q)]
-                break
-        if not candidates:
-            raise SynthesisError("mixed-tight cycle scan failed despite valid conditions")
-    elif at_upper(v0) and at_upper(v1):
-        i = _even_position(t, lambda v: not at_upper(v))
-        if i is None:
-            t = reverse_keep_first_edge(t)
-            i = _even_position(t, lambda v: not at_upper(v))
-        if i is None:
-            raise SynthesisError("upper-tight cycle scan failed despite valid conditions")
-        candidates = [(t.segment(0, i), t.segment(i, tt)), (t.segment(i, tt), t.segment(0, i))]
-    else:
-        i = _even_position(t, lambda v: not at_lower(v))
-        if i is None:
-            t = reverse_keep_first_edge(t)
-            i = _even_position(t, lambda v: not at_lower(v))
-        if i is None:
-            raise SynthesisError("lower-tight cycle scan failed despite valid conditions")
-        candidates = [(t.segment(i, tt), t.segment(0, i)), (t.segment(0, i), t.segment(i, tt))]
-    return _first_valid_order(candidates, ctx, bounds)
-
-
-def _even_position(t: Trail, predicate) -> int | None:
-    for i in range(2, len(t) - 1, 2):
-        if predicate(t.vertices[i]):
-            return i
-    return None
 
 
 def _odd(trail: Trail, ctx: Subgraph, bounds: DegreeBounds, out: list[Move], grow: bool) -> None:
@@ -308,8 +270,6 @@ def _closed_even(
     if not alternates(trail, ctx):
         raise ContractError("trail does not alternate around the current subgraph")
     t = inside_first(trail, ctx)
-    if is_alternatingly_ab_tight(t, ctx, bounds):
-        raise NotInternallyReconfigurableError("cycle-alternately-tight")
     tt = len(t)
     if all(ctx.degrees[v] == bounds.lower[v] for v in t.vertices):
         # uniformly lower-tight: lead with an addition, close with a removal

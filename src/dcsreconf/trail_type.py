@@ -80,14 +80,3 @@ def inside_first(trail: Trail, current: Subgraph) -> Trail:
         raise ContractError("trail does not alternate around the current subgraph")
     return flipped
 
-
-def reverse_keep_first_edge(trail: Trail) -> Trail:
-    """Reverse a closed trail's orientation while keeping its first edge first.
-
-    Maps v0 -e0- v1 ... vt to v1 -e0- v0 -e(t-1)- v(t-1) ... -e1- v1, which
-    swaps the roles of the first edge's endpoints without changing which edge
-    leads the sequence.
-    """
-    if not trail.is_closed:
-        raise ContractError("re-rooting applies to closed trails only")
-    return trail.reversed().rotated(len(trail) - 1)

@@ -312,10 +312,10 @@ def test_closed_even_rejects_alternately_tight():
     ],
     ids=["mixed-tight", "lower-tight"],
 )
-def test_closed_split_cuts_the_reversed_cycle(edges, lower, upper, current, want):
-    """``_closed_split`` cuts a 4-cycle in its reversed orientation when the
-    forward scan finds no cut; both workers emit one move per cycle edge,
-    and the sequence replays."""
+def test_closed_trail_is_cut_in_its_reversed_orientation(edges, lower, upper, current, want):
+    """``_split`` cuts a 4-cycle in its reversed orientation when the forward
+    one has no pivot; both workers emit one move per cycle edge, and the
+    sequence replays."""
     g = graph(8, edges)
     b = DegreeBounds(g, lower, upper)
     state = sub(g, current)
@@ -329,6 +329,63 @@ def test_closed_split_cuts_the_reversed_cycle(edges, lower, upper, current, want
     ):
         assert moves == want
         assert verify_move_sequence(i, moves)
+
+
+def _random_closed_trail(rng):
+    """A closed even alternating trail of 4-12 edges on at most as many
+    vertices (fewer force a revisit), on a host with a few extra edges; its
+    even positions are in the state, and each bound lies within two steps of
+    the vertex's degree."""
+    tt = rng.randrange(4, 13, 2)
+    n = tt if tt == 4 or rng.random() < 0.3 else rng.randint(tt // 2 + 2, tt - 1)
+    while True:
+        vs, used = [rng.randrange(n)], set()
+        for _ in range(tt - 1):
+            step = [w for w in range(n) if w != vs[-1] and frozenset((vs[-1], w)) not in used]
+            if not step:
+                break
+            w = rng.choice(step)
+            used.add(frozenset((vs[-1], w)))
+            vs.append(w)
+        else:
+            if vs[-1] != vs[0] and frozenset((vs[-1], vs[0])) not in used:
+                used.add(frozenset((vs[-1], vs[0])))
+                break
+    pairs = [(vs[i], vs[(i + 1) % tt]) for i in range(tt)]
+    for _ in range(rng.randint(0, 4)):  # extra edges, some to pendant vertices
+        u, w = rng.randrange(n), rng.randrange(n + 3)
+        if u != w and frozenset((u, w)) not in used:
+            used.add(frozenset((u, w)))
+            pairs.append((u, w))
+    g = graph(n + 3, pairs)
+    inside = list(range(0, tt, 2)) + [e for e in range(tt, g.m) if rng.random() < 0.5]
+    state = sub(g, inside)
+    lower = [max(0, d - rng.randint(0, 2)) for d in state.degrees]
+    upper = [min(g.degree[v], d + rng.randint(0, 2)) for v, d in enumerate(state.degrees)]
+    return g, DegreeBounds(g, lower, upper), state, Trail(tuple(vs + vs[:1]), tuple(range(tt)))
+
+
+def test_closed_trails_flip_exactly_when_their_conditions_hold():
+    """``_elementary`` flips a random closed trail one move per edge, through
+    feasible states, whenever ``check_internal_conditions`` passes, and raises
+    otherwise."""
+    rng = random.Random(17)
+    flips = revisiting = rejected = 0
+    for _ in range(2000):
+        g, b, state, t = _random_closed_trail(rng)
+        if check_internal_conditions(t, state, b) is not None:
+            with pytest.raises(NotInternallyReconfigurableError):
+                on_copy(_elementary, t, state, b)
+            rejected += 1
+            continue
+        moves = on_copy(_elementary, t, state, b)
+        target = flipped(state, t)
+        assert len(moves) == len(t)
+        assert apply_all(state, moves).edge_set == target.edge_set
+        assert verify_move_sequence(Instance(g, b, state, target, 1), moves)
+        flips += 1
+        revisiting += len(set(t.vertices)) < len(t)
+    assert flips > 400 and revisiting > 200 and rejected > 400
 
 
 def test_long_revisiting_trail_flips_at_tight_floor():

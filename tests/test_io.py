@@ -118,6 +118,36 @@ def test_decision_round_trip():
         moves_from_text('{"answer": "no", "witness": {"kind": "fixed-edge"}}')
 
 
+@pytest.mark.parametrize(
+    "witness, message",
+    [
+        ({"kind": "stuck"}, "witness has unknown kind 'stuck'"),
+        ({"kind": "fixed-edge", "edge": "x"}, "witness has a non-integer edge"),
+        ({"kind": "fixed-edge", "edge": True}, "witness has a non-integer edge"),
+        ({"kind": "fixed-edge", "edge": 0, "context": [1]}, "witness context must be a string"),
+    ],
+    ids=["unknown-kind", "string-edge", "bool-edge", "list-context"],
+)
+def test_malformed_witnesses_are_rejected(witness, message):
+    with pytest.raises(InputError) as e:
+        parse_decision(json.dumps({"answer": "no", "witness": witness}))
+    assert (e.value.code, str(e.value)) == ("malformed-document", f"malformed-document: {message}")
+
+
+@pytest.mark.parametrize(
+    "witness",
+    [
+        Witness("fixed-edge", edge=3, context="frozen"),
+        Witness("locked-btight-cycle", cycle=Trail((0, 1, 2, 3, 0), (0, 1, 2, 3))),
+        Witness("locked-alt-abtight-cycle", cycle=Trail((0, 1, 2, 3, 0), (0, 1, 2, 3))),
+    ],
+    ids=lambda w: w.kind,
+)
+def test_witnesses_of_every_kind_round_trip(witness):
+    no = Decision.reject(witness)
+    assert parse_decision(serialize_decision(no)) == no
+
+
 def test_decide_output_parses_back():
     text = serialize_instance(parse_instance(doc(target=[])))
     inst = parse_instance(text)

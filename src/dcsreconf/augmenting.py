@@ -24,7 +24,8 @@ the pool, ``restore`` puts them back, ``flip`` moves them to the other side,
 and each search resets only the nodes it reached. ``find_alternating_trail``
 is the one-shot form. The same port lists serve the peel's maximal walk
 (``maximal_trail``): each step reads the pool's opposite-side list at the
-end vertex, never the host's incidence lists.
+end vertex, never the host's incidence lists. The peel's fallback phase is
+``maximal_trails``: one such walk around the least edge left per trail.
 
 A search pays for what it finds: it returns as soon as it queues a port at
 a sink, without expanding the ports queued before it, and walks that port's
@@ -155,6 +156,13 @@ class Gadget:
             tuple([edges[(port - 2) >> 1] for port in ports]),
         )
         return trail.reversed() if trail.edges[0] > trail.edges[-1] else trail
+
+    def maximal_trails(self) -> Iterator[Trail]:
+        """The maximal trail around the least edge left, one per resume, until
+        the pool is empty; the caller drops each trail before resuming."""
+        for e in self.edges:
+            if e in self.index:
+                yield self.maximal_trail(e)
 
     def search(
         self,

@@ -6,10 +6,11 @@ orient so the source is no larger than the target, then peel alternating
 trails and dispatch each by its class. ``Peel`` is the one peel loop, and
 ``alternating_trail_decomposition`` lists what it takes: growing trails while
 any is left (from ``augmenting.growing_trails``, which moves past a start for
-good once it has no trail), then maximal trails from the least edge left,
-with no further search. A ``Peel`` owns what the searches keep in step with
-the current subgraph (the pool gadget over the edges left, one ``Ends`` and
-the optional whole-host gadget) and applies each trail to them in one place.
+good once it has no trail), then maximal trails from the least edge left
+(``augmenting.Gadget.maximal_trails``), with no further search. A ``Peel``
+owns what the searches keep in step with the current subgraph (the pool
+gadget over the edges left, one ``Ends`` and the optional whole-host gadget)
+and applies each trail to them in one place.
 At slack 1 with equal sizes the procedure either works between maximum
 subgraphs (where locked upper-tight cycles are conclusive) or routes through
 a one-edge augmentation of the target. Between maximum subgraphs one
@@ -194,38 +195,30 @@ class Peel:
 
     def __iter__(self):
         pool, ends, current, bounds = self.pool, self.ends, self.current, self.bounds
-        # While growing, the pool only loses edges, no edge left changes side
-        # and room only shrinks, so a trail from a start later was one
-        # already: a start that misses (no one-edge trail, or its own search
-        # finds nothing) never finds a trail later (Edmonds 1965, as for
-        # augmenting paths). ``growing_trails`` moves past each such start for
-        # good and runs out exactly when no growing trail is left.
-        grown = growing_trails(pool, ends)
-        order = pool.edges  # fallback starts: the least edge left
-        cursor = 0
-        growing = True
-        while pool.index:
-            # After the growing phase no later peel can create a growing
-            # trail. The pool only loses edges and no edge left changes side,
-            # so every later candidate was a trail when it ended. Each later
-            # trail is maximal (or a closed cycle that moves no degree), so its
-            # flip moves degrees only at its ends; and an end that gains room
-            # has no outside pool edge left, since the trail would have been
-            # extended along it, so no growing trail can end there.
-            trail = next(grown, None) if growing else None
-            growing = trail is not None
-            if trail is None:
-                while order[cursor] not in pool.index:
-                    cursor += 1
-                trail = pool.maximal_trail(order[cursor])
-            cls = classify_trail(trail, current, bounds)
-            if cls is TrailClass.M_AUGMENTING and not growing:
-                raise SynthesisError("fallback trail classified as growing: search is incomplete")
-            yield trail, cls
-            pool.drop(trail.edges)
-            if self.host is not None:
-                self.host.flip(trail.edges)
-            ends.settle(trail)
+        # Throughout, the pool only loses edges and no edge left changes side.
+        # While growing, room only shrinks too, so a trail from a start later
+        # was one already: a start that misses (no one-edge trail, or its own
+        # search finds nothing) never finds a trail later (Edmonds 1965, as
+        # for augmenting paths). ``growing_trails`` moves past each such start
+        # for good and runs out exactly when no growing trail is left.
+        # After that no later peel can create a growing trail: every later
+        # candidate was a trail when the growing phase ended. Each fallback
+        # trail is maximal (or a closed cycle that moves no degree), so its
+        # flip moves degrees only at its ends; and an end that gains room has
+        # no outside pool edge left, since the trail would have been extended
+        # along it, so no growing trail can end there.
+        for growing, found in ((True, growing_trails(pool, ends)), (False, pool.maximal_trails())):
+            for trail in found:
+                cls = classify_trail(trail, current, bounds)
+                if cls is TrailClass.M_AUGMENTING and not growing:
+                    raise SynthesisError(
+                        "fallback trail classified as growing: search is incomplete"
+                    )
+                yield trail, cls
+                pool.drop(trail.edges)
+                if self.host is not None:
+                    self.host.flip(trail.edges)
+                ends.settle(trail)
 
 
 def alternating_trail_decomposition(
@@ -304,7 +297,7 @@ def _process(inst: Instance, trace: list[TraceEntry], host: Gadget | None = None
                 return Decision.reject(
                     Witness(LOCKED_ALT_AB_TIGHT_CYCLE, cycle=trail, context="any slack")
                 )
-            _alt_cycle(trail, ctx, bridge, graph, bounds, out)
+            _alt_cycle(trail, ctx, bridge, bounds, out)
             rule = "tight-cycle-unlock"
         trace.append(TraceEntry(cls.value, rule, len(out) - before, trail))
     if ctx != inst.target:

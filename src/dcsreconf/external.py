@@ -5,7 +5,9 @@ vertex can temporarily shed an edge through an escape trail ending at a
 vertex with spare capacity; an alternately tight cycle can only flip if an
 unlocking trail exists: one that uses no cycle edge, leaves a cycle vertex
 over the edge that moves it off its role's bound, and ends where the far end
-can take the change. Both trails are searched forward from the cycle, with
+can take the change. Each vertex of such a cycle sits at exactly one of its
+bounds, so its role is read from its degree: 'b' at the upper bound, 'a' at
+the lower. Both trails are searched forward from the cycle, with
 the side of the first edge set per search, on the whole-host gadget and the
 ``augmenting.Ends`` that ``decider.Peel`` keeps around the current subgraph.
 Both routines restore every off-cycle side effect.
@@ -14,15 +16,15 @@ Both routines restore every off-cycle side effect.
 from __future__ import annotations
 
 from .augmenting import Ends, Gadget
-from .core import DegreeBounds, Graph, Move, Subgraph
+from .core import DegreeBounds, Move, Subgraph
 from .errors import ContractError, LockedCycleError, SynthesisError
 from .internal import _elementary
 # Not called here; bound because the benchmark's traced run wraps these names
 # (``perfbench/tracer.py``, ``_WRAPS``).
 from .augmenting import find_alternating_trail  # noqa: F401
 from .solver import feasible_subgraph  # noqa: F401
-from .trail_type import Trail, concat, single_edge_trail
-from .trails import ab_tight_roles
+from .trail_type import Trail, concat
+from .trails import is_alternatingly_ab_tight
 
 
 def _escape_trail(candidates: set[int], gadget: Gadget, ends: Ends) -> Trail | None:
@@ -31,15 +33,15 @@ def _escape_trail(candidates: set[int], gadget: Gadget, ends: Ends) -> Trail | N
 
 
 def _rooted_loop(cycle: Trail, root: int, first_inside: bool, current: Subgraph) -> Trail:
-    """The cycle as a closed trail starting at ``root`` with the wanted side first."""
-    for p in range(len(cycle)):
-        if cycle.vertices[p] == root:
-            rot = cycle.rotated(p)
-            if (rot.edges[0] in current) != first_inside:
-                rot = rot.reversed()
-            if (rot.edges[0] in current) == first_inside:
-                return rot
-    raise ContractError(f"vertex {root} does not lie on the cycle")
+    """The cycle as a closed trail starting at ``root`` with the wanted side first.
+
+    The cycle alternates, so the two cycle edges at any visit of ``root`` lie
+    on opposite sides: its first visit, walked one way or the other, will do.
+    """
+    if root not in cycle.vertices:
+        raise ContractError(f"vertex {root} does not lie on the cycle")
+    rot = cycle.rotated(cycle.vertices.index(root))
+    return rot if (rot.edges[0] in current) == first_inside else rot.reversed()
 
 
 def _cycle_minus_edge(cycle: Trail, drop: int, start: int) -> Trail:
@@ -117,15 +119,15 @@ def exists_unlocking_subgraph(
     cycle's edges leave the gadget for the two searches (a-role starts, then
     b-role starts with a member edge first) and come back before returning.
     """
-    roles = ab_tight_roles(cycle, current, bounds)
-    if roles is None:
+    if not is_alternatingly_ab_tight(cycle, current, bounds):
         raise ContractError("cycle is not alternately tight in the current subgraph")
+    # b-role vertices, at their upper bound, shed first; a-role ones gain first
+    b_role = {v for v in cycle.vertices if current.degrees[v] == bounds.upper[v]}
     gadget.drop(cycle.edges)
     try:
         for inside, ports_at in ((False, gadget.outside_at), (True, gadget.inside_at)):
             # a start finds nothing without an off-cycle edge on its side
-            starts = {v for v, r in zip(cycle.vertices, roles) if (r == "b") == inside}
-            starts = {v for v in starts if ports_at[v]}
+            starts = {v for v in cycle.vertices if (v in b_role) == inside and ports_at[v]}
             found = gadget.search(
                 starts, ends.room, ends.spare, ends.closes(inside), first_inside=inside
             )
@@ -137,24 +139,17 @@ def exists_unlocking_subgraph(
 
 
 def _alt_cycle(
-    cycle: Trail,
-    ctx: Subgraph,
-    bridge: Trail,
-    graph: Graph,
-    bounds: DegreeBounds,
-    out: list[Move],
+    cycle: Trail, ctx: Subgraph, bridge: Trail, bounds: DegreeBounds, out: list[Move]
 ) -> None:
-    roles = ab_tight_roles(cycle, ctx, bounds)
-    if roles is None:
+    if not is_alternatingly_ab_tight(cycle, ctx, bounds):
         raise ContractError("cycle is not alternately tight in the current subgraph")
     if not bridge.edges or set(bridge.edges) & set(cycle.edges):
         raise ContractError("the bridge must be non-empty and share no edge with the cycle")
     v = bridge.vertices[0]
-    role = "b" if bridge.edges[0] in ctx else "a"
-    roles_at_v = [r for u, r in zip(cycle.vertices, roles) if u == v]
-    if not roles_at_v:
+    if v not in cycle.vertices:
         raise ContractError(f"bridge starts at vertex {v}, which is not on the cycle")
-    if role not in roles_at_v:
+    sheds = bridge.edges[0] in ctx  # a b-role vertex, at its upper bound, sheds first
+    if sheds != (ctx.degrees[v] == bounds.upper[v]):
         raise ContractError(f"bridge's first edge does not move vertex {v} off its role's bound")
     before = len(out)
     tt = len(cycle)
@@ -162,12 +157,11 @@ def _alt_cycle(
     # back afterwards; an odd one is swept with all but the cycle's last edge,
     # which is flipped with the bridge on the way back.
     even = len(bridge) % 2 == 0
-    loop = _rooted_loop(cycle, v, first_inside=(role == "b") == even, current=ctx)
+    loop = _rooted_loop(cycle, v, first_inside=sheds == even, current=ctx)
     if even:
         _elementary(concat(loop, bridge), ctx, bounds, out)
         _elementary(bridge, ctx, bounds, out)  # undo the off-cycle effects
     else:
         _elementary(concat(bridge.reversed(), loop.segment(0, tt - 1)), ctx, bounds, out)
-        last = single_edge_trail(graph, loop.edges[-1], loop.vertices[tt - 1])
-        _elementary(concat(last, bridge), ctx, bounds, out)
+        _elementary(concat(loop.segment(tt - 1, tt), bridge), ctx, bounds, out)
     _assert_net_effect(out[before:], cycle, "alternately tight cycle reconfiguration")

@@ -163,15 +163,23 @@ def parse_decision(text: str) -> Decision:
             raise InputError("malformed-document", "witness has a non-integer edge")
         if type(context) is not str:
             raise InputError("malformed-document", "witness context must be a string")
-        cycle = None
-        if "cycle-edges" in w:
-            edges = _int_list(w, "cycle-edges", "malformed-document")
-            vertices = _int_list(w, "cycle-vertices", "malformed-document")
-            try:
-                cycle = Trail(tuple(vertices), tuple(edges))
-            except ContractError as exc:
-                raise InputError("malformed-document", f"witness cycle: {exc}") from exc
-        return Decision.reject(Witness(w["kind"], edge=edge, cycle=cycle, context=context))
+        # A fixed-edge witness names one edge and no cycle, a cycle witness
+        # the reverse.
+        if w["kind"] == FIXED_EDGE:
+            if edge is None or edge < 0:
+                raise InputError("malformed-document", "fixed-edge witness needs an edge >= 0")
+            if "cycle-edges" in w or "cycle-vertices" in w:
+                raise InputError("malformed-document", "fixed-edge witness carries a cycle")
+            return Decision.reject(Witness(FIXED_EDGE, edge=edge, context=context))
+        if edge is not None:
+            raise InputError("malformed-document", "cycle witness carries an edge")
+        edges = _int_list(w, "cycle-edges", "malformed-document")
+        vertices = _int_list(w, "cycle-vertices", "malformed-document")
+        try:
+            cycle = Trail(tuple(vertices), tuple(edges))
+        except ContractError as exc:
+            raise InputError("malformed-document", f"witness cycle: {exc}") from exc
+        return Decision.reject(Witness(w["kind"], cycle=cycle, context=context))
     raise InputError("malformed-document", "unrecognized decision document")
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from itertools import islice
 from operator import ne
 
-from .core import Graph, Subgraph
+from .core import Subgraph
 from .errors import ContractError
 
 
@@ -55,10 +55,6 @@ def concat(first: Trail, second: Trail) -> Trail:
     if first.vertices[-1] != second.vertices[0]:
         raise ContractError("trail concatenation endpoints do not meet")
     return Trail(first.vertices + second.vertices[1:], first.edges + second.edges)
-
-
-def single_edge_trail(graph: Graph, e: int, start: int) -> Trail:
-    return Trail((start, graph.other_end(e, start)), (e,))
 
 
 def alternates(trail: Trail, current: Subgraph) -> bool:

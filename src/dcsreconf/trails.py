@@ -67,29 +67,24 @@ def find_augmenting_trail(
     return growing_trail(gadget, bounds, current)
 
 
-def ab_tight_roles(cycle: Trail, current: Subgraph, bounds: DegreeBounds) -> list[str] | None:
-    """Per-position roles of an alternately tight cycle, or None if it is not one.
+def is_alternatingly_ab_tight(cycle: Trail, current: Subgraph, bounds: DegreeBounds) -> bool:
+    """Whether the cycle's vertices alternate lower-tight / upper-tight.
 
     A vertex takes role 'a' at its lower bound and 'b' at its upper bound
     (exactly one of them), and the roles alternate around the cycle in
-    either phase. Only closed even-length trails have this property.
+    either phase. So a vertex visited twice has one role, read from its
+    degree. Only closed even-length trails have this property.
     """
     if not cycle.is_closed or len(cycle) % 2 != 0:
         raise ContractError("alternating tightness applies to closed even-length trails")
-    roles: list[str] = []
+    before = None  # whether the previous vertex is lower-tight
     for v in cycle.vertices[:-1]:
         d = current.degrees[v]
         a_tight = d == bounds.lower[v]
-        role = "a" if a_tight else "b"
-        if a_tight == (d == bounds.upper[v]) or (roles and roles[-1] == role):
-            return None
-        roles.append(role)
-    return roles
-
-
-def is_alternatingly_ab_tight(cycle: Trail, current: Subgraph, bounds: DegreeBounds) -> bool:
-    """Whether the cycle's vertices alternate lower-tight / upper-tight."""
-    return ab_tight_roles(cycle, current, bounds) is not None
+        if a_tight == (d == bounds.upper[v]) or a_tight == before:
+            return False
+        before = a_tight
+    return True
 
 
 def classify_trail(trail: Trail, current: Subgraph, bounds: DegreeBounds) -> TrailClass:

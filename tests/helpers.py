@@ -15,7 +15,6 @@ from dcsreconf.errors import ContractError
 from dcsreconf.external import _escape_trail
 from dcsreconf.oracle import enumerate_ab_constrained
 from dcsreconf.trail_type import Trail
-from dcsreconf.trails import ab_tight_roles
 
 
 def graph(n: int, edges) -> Graph:
@@ -284,11 +283,20 @@ def unlocking_trail_by_fresh_gadget(
 
     Reference for ``external.exists_unlocking_subgraph``, which searches the
     caller's kept whole-host gadget, with the cycle's edges dropped, and its
-    kept ``Ends`` instead.
+    kept ``Ends`` instead, and reads each vertex's role from its degree.
+    Here the roles are listed per position: 'a' at the lower bound, 'b' at
+    the upper (exactly one of them), alternating around the cycle.
     """
-    roles = ab_tight_roles(cycle, current, bounds)
-    if roles is None:
-        raise ContractError("cycle is not alternately tight in the current subgraph")
+    if not cycle.is_closed or len(cycle) % 2 != 0:
+        raise ContractError("alternating tightness applies to closed even-length trails")
+    roles: list[str] = []
+    for v in cycle.vertices[:-1]:
+        d = current.degrees[v]
+        a_tight = d == bounds.lower[v]
+        role = "a" if a_tight else "b"
+        if a_tight == (d == bounds.upper[v]) or (roles and roles[-1] == role):
+            raise ContractError("cycle is not alternately tight in the current subgraph")
+        roles.append(role)
     on_cycle = set(cycle.edges)
     room = [b - d for b, d in zip(bounds.upper, current.degrees)]
     spare = [d - a for d, a in zip(current.degrees, bounds.lower)]

@@ -185,3 +185,9 @@ def test_decide_long_path_exits_zero(tmp_path, capsys):
     assert main(["decide", write_instance(tmp_path, i)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["answer"] == "yes"
+
+
+def test_verify_reports_an_unreadable_moves_file(tmp_path, capsys):
+    path = write_instance(tmp_path, cycle_swap(1))
+    assert main(["verify", path, str(tmp_path / "missing.json")]) == 2
+    assert "error: io:" in capsys.readouterr().err

@@ -9,6 +9,7 @@ from dcsreconf.core import (
     Graph,
     Instance,
     Move,
+    Subgraph,
     apply_move,
     is_ab_constrained,
     reversed_moves,
@@ -144,3 +145,26 @@ def test_reversed_moves_round_trip():
     for m in seq + back:
         apply_move(s, m)
     assert s == sub(g, [0, 2])
+
+
+def source_on_another_host():
+    g = path_graph(3)
+    Instance(g, bounds(g, 0, 1), sub(path_graph(3)), sub(g), 1).validate()
+
+
+@pytest.mark.parametrize(
+    "make, code",
+    [
+        (lambda: Graph(-1, []), "vertex-count"),
+        (lambda: DegreeBounds(path_graph(3), [0, 0], [1, 1]), "bound-length"),
+        (lambda: Subgraph(path_graph(3), [5]), "edge-index"),  # two edges
+        (source_on_another_host, "host-mismatch"),
+        (lambda: apply_move(sub(path_graph(3)), Move("flip", 0)), "move-kind"),
+        (lambda: path_graph(3).other_end(0, 2), "edge-endpoint"),
+    ],
+    ids=["vertex-count", "bound-length", "edge-index", "host-mismatch", "move-kind", "endpoint"],
+)
+def test_input_rejections_carry_their_code(make, code):
+    with pytest.raises(InputError) as e:
+        make()
+    assert e.value.code == code

@@ -13,6 +13,7 @@ from dcsreconf.core import (
     is_ab_constrained,
     verify_move_sequence,
 )
+from dcsreconf.decider import decide
 from dcsreconf.errors import ContractError, LockedCycleError
 from dcsreconf.external import (
     _alt_cycle,
@@ -21,7 +22,7 @@ from dcsreconf.external import (
     exists_unlocking_subgraph,
 )
 from dcsreconf.obstructions import m_fixed_subgraph
-from dcsreconf.oracle import oracle_min_k
+from dcsreconf.oracle import oracle_decide, oracle_min_k
 from dcsreconf.trail_type import Trail, alternates
 from dcsreconf.trails import is_alternatingly_ab_tight
 
@@ -221,7 +222,7 @@ def test_alt_cycle_reconfiguration_with_pendant():
     b = alt_tight_bounds(g)
     current = sub(g, [0, 2])
     unlocked = unlock(square_trail(), current, b)
-    moves = on_copy(_alt_cycle, square_trail(), current, unlocked, g, b)
+    moves = on_copy(_alt_cycle, square_trail(), current, unlocked, b)
     i = Instance(g, b, current, sub(g, [1, 3]), 1)
     assert verify_move_sequence(i, moves)
     assert oracle_min_k(g, b, current, sub(g, [1, 3])) == 1
@@ -235,7 +236,7 @@ def test_alt_cycle_unlocked_by_shedding_an_outside_edge():
     current = sub(g, [0, 2, 4])
     unlocked = unlock(square_trail(), current, b)
     assert unlocked is not None
-    moves = on_copy(_alt_cycle, square_trail(), current, unlocked, g, b)
+    moves = on_copy(_alt_cycle, square_trail(), current, unlocked, b)
     target = sub(g, [1, 3, 4])
     i = Instance(g, b, current, target, 1)
     assert verify_move_sequence(i, moves)
@@ -250,7 +251,7 @@ def test_alt_cycle_unlocked_through_even_bridge():
     current = sub(g, [0, 2, 4])
     unlocked = unlock(square_trail(), current, b)
     assert unlocked is not None
-    moves = on_copy(_alt_cycle, square_trail(), current, unlocked, g, b)
+    moves = on_copy(_alt_cycle, square_trail(), current, unlocked, b)
     target = sub(g, [1, 3, 4])
     i = Instance(g, b, current, target, 1)
     assert verify_move_sequence(i, moves)
@@ -265,7 +266,7 @@ def test_alt_cycle_unlocked_by_gaining_through_a_chain():
     current = sub(g, [0, 2, 5])
     unlocked = unlock(square_trail(), current, b)
     assert unlocked is not None
-    moves = on_copy(_alt_cycle, square_trail(), current, unlocked, g, b)
+    moves = on_copy(_alt_cycle, square_trail(), current, unlocked, b)
     target = sub(g, [1, 3, 5])
     i = Instance(g, b, current, target, 1)
     assert verify_move_sequence(i, moves)
@@ -339,7 +340,7 @@ def test_unlocking_trail_exists_iff_brute_force_finds_an_unlocking_subgraph(rng)
     unlocked = flipped(current, bridge)
     assert is_ab_constrained(unlocked, b)
     assert not is_alternatingly_ab_tight(cycle, unlocked, b)
-    moves = on_copy(_alt_cycle, cycle, current, bridge, g, b)
+    moves = on_copy(_alt_cycle, cycle, current, bridge, b)
     assert verify_move_sequence(Instance(g, b, current, flipped(current, cycle), 1), moves)
 
 
@@ -373,7 +374,7 @@ def test_unlocking_search_is_redone_per_start_after_a_closed_trail_without_room(
     assert bridge is not None and not bridge.is_closed
     assert bridge.edges == (7, 8)
     assert is_ab_constrained(flipped(current, bridge), b)
-    moves = on_copy(_alt_cycle, square_trail(), current, bridge, g, b)
+    moves = on_copy(_alt_cycle, square_trail(), current, bridge, b)
     target = flipped(current, square_trail())
     assert verify_move_sequence(Instance(g, b, current, target, 1), moves)
 
@@ -391,7 +392,7 @@ def test_alt_cycle_takes_closed_bridges():
         current = sub(g, inside)
         target = flipped(current, square_trail())
         for bridge in (Trail((v, 4, 5, v), (4, 5, 6)), Trail((v, 5, 4, v), (6, 5, 4))):
-            moves = on_copy(_alt_cycle, square_trail(), current, bridge, g, b)
+            moves = on_copy(_alt_cycle, square_trail(), current, bridge, b)
             assert verify_move_sequence(Instance(g, b, current, target, 1), moves)
 
 
@@ -407,7 +408,7 @@ def test_alt_cycle_worker_rejects_cycle_agreeing_with_target():
     current = sub(g, [0, 2])
     on_cycle = Trail((1, 2), (1,))  # a bridge over a cycle edge
     with pytest.raises(ContractError):
-        on_copy(_alt_cycle, square_trail(), current, on_cycle, g, b)
+        on_copy(_alt_cycle, square_trail(), current, on_cycle, b)
 
 
 def test_external_routines_restore_side_effects():
@@ -433,3 +434,50 @@ def test_external_routines_restore_side_effects():
     target = Subgraph(g, after.edge_set)
     i = Instance(g, b, current, target, 1)
     assert verify_move_sequence(i, moves)
+
+
+FIGURE_EIGHT = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (6, 0)]
+
+
+def figure_eight_trail():
+    """Two squares through vertex 0, which the cycle visits at positions 0 and 4."""
+    return Trail((0, 1, 2, 3, 0, 4, 5, 6, 0), tuple(range(8)))
+
+
+def assert_figure_eight_flips(moves, g, b, current):
+    """The moves flip the figure eight at k=1, and both deciders say Yes."""
+    i = Instance(g, b, current, flipped(current, figure_eight_trail()), 1)
+    assert verify_move_sequence(i, moves)
+    assert oracle_decide(i)
+    assert decide(i).yes
+
+
+def test_alt_cycle_odd_bridge_at_a_vertex_visited_twice():
+    g = graph(8, FIGURE_EIGHT + [(0, 7)])
+    b = DegreeBounds(g, [2, 0, 1, 0, 0, 1, 0, 0], [3, 1, 2, 1, 1, 2, 1, 1])
+    current = sub(g, [0, 2, 4, 6])
+    assert is_alternatingly_ab_tight(figure_eight_trail(), current, b)
+    moves = on_copy(_alt_cycle, figure_eight_trail(), current, Trail((0, 7), (8,)), b)
+    assert_figure_eight_flips(moves, g, b, current)
+
+
+def test_alt_cycle_even_bridge_at_a_vertex_visited_twice():
+    g = graph(9, FIGURE_EIGHT + [(0, 7), (7, 8)])
+    b = DegreeBounds(g, [2, 0, 1, 0, 0, 1, 0, 0, 0], [3, 1, 2, 1, 1, 2, 1, 2, 1])
+    current = sub(g, [0, 2, 4, 6, 9])
+    assert is_alternatingly_ab_tight(figure_eight_trail(), current, b)
+    moves = on_copy(_alt_cycle, figure_eight_trail(), current, Trail((0, 7, 8), (8, 9)), b)
+    assert_figure_eight_flips(moves, g, b, current)
+
+
+def test_btight_cycle_escape_from_a_vertex_visited_twice(monkeypatch):
+    import dcsreconf.external as ext
+
+    g = graph(9, FIGURE_EIGHT + [(0, 7), (7, 8)])
+    b = DegreeBounds(g, [0] * 9, [3, 1, 1, 1, 1, 1, 1, 1, 1])
+    current = sub(g, [0, 2, 4, 6, 8])
+    crafted = Trail((0, 7, 8), (8, 9))
+    monkeypatch.setattr(ext, "_escape_trail", lambda *args: crafted)
+    moves = btight_moves(figure_eight_trail(), current, b)
+    monkeypatch.undo()
+    assert_figure_eight_flips(moves, g, b, current)

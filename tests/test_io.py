@@ -49,6 +49,9 @@ def test_error_codes():
         parse_instance("{not json")
     assert e.value.code == "malformed-document"
     with pytest.raises(InputError) as e:
+        parse_instance("[]")
+    assert e.value.code == "malformed-document"
+    with pytest.raises(InputError) as e:
         parse_instance(doc(a=[2, 0], b=[1, 1]))
     assert e.value.code == "bound-order"
     with pytest.raises(InputError) as e:
@@ -59,6 +62,9 @@ def test_error_codes():
     assert e.value.code == "edge-selfloop"
     with pytest.raises(InputError) as e:
         parse_instance(doc(source=[5]))
+    assert e.value.code == "edge-index"
+    with pytest.raises(InputError) as e:
+        parse_instance(doc(source=[0, 0]))
     assert e.value.code == "edge-index"
     with pytest.raises(InputError) as e:
         parse_instance(doc(k=0))
@@ -125,8 +131,41 @@ def test_decision_round_trip():
         ({"kind": "fixed-edge", "edge": "x"}, "witness has a non-integer edge"),
         ({"kind": "fixed-edge", "edge": True}, "witness has a non-integer edge"),
         ({"kind": "fixed-edge", "edge": 0, "context": [1]}, "witness context must be a string"),
+        ({"kind": "fixed-edge"}, "fixed-edge witness needs an edge >= 0"),
+        ({"kind": "fixed-edge", "edge": -5}, "fixed-edge witness needs an edge >= 0"),
+        (
+            {"kind": "fixed-edge", "edge": 0, "cycle-edges": [0, 1], "cycle-vertices": [0, 1, 0]},
+            "fixed-edge witness carries a cycle",
+        ),
+        ({"kind": "locked-btight-cycle"}, "missing field 'cycle-edges'"),
+        ({"kind": "locked-alt-abtight-cycle"}, "missing field 'cycle-edges'"),
+        (
+            {"kind": "locked-btight-cycle", "cycle-vertices": [0, 1, 2, 3, 0]},
+            "missing field 'cycle-edges'",
+        ),
+        (
+            {
+                "kind": "locked-alt-abtight-cycle",
+                "edge": 0,
+                "cycle-edges": [0, 1, 2, 3],
+                "cycle-vertices": [0, 1, 2, 3, 0],
+            },
+            "cycle witness carries an edge",
+        ),
     ],
-    ids=["unknown-kind", "string-edge", "bool-edge", "list-context"],
+    ids=[
+        "unknown-kind",
+        "string-edge",
+        "bool-edge",
+        "list-context",
+        "fixed-edge-without-edge",
+        "negative-edge",
+        "fixed-edge-with-cycle",
+        "btight-without-cycle",
+        "alt-without-cycle",
+        "vertices-without-edges",
+        "cycle-with-edge",
+    ],
 )
 def test_malformed_witnesses_are_rejected(witness, message):
     with pytest.raises(InputError) as e:
@@ -189,3 +228,43 @@ def test_edge_errors_name_the_first_bad_edge():
     assert (e.value.code, str(e.value)) == (
         "malformed-document", "malformed-document: field 'a' must hold integers"
     )
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{",
+        "5",
+        json.dumps([{"edge": 1}]),
+        json.dumps([{"op": "add"}]),
+        json.dumps([{"op": "flip", "edge": 0}]),
+        json.dumps([{"op": "add", "edge": "0"}]),
+        json.dumps({"answer": "no"}),
+        json.dumps(
+            {
+                "answer": "no",
+                "witness": {
+                    "kind": "locked-btight-cycle",
+                    "cycle-edges": [0, 0],
+                    "cycle-vertices": [0, 1, 0],
+                },
+            }
+        ),
+        json.dumps({"answer": "maybe"}),
+    ],
+    ids=[
+        "invalid-json",
+        "scalar",
+        "move-without-op",
+        "move-without-edge",
+        "flip-op",
+        "string-edge",
+        "no-without-witness",
+        "cycle-with-repeated-edge",
+        "unknown-answer",
+    ],
+)
+def test_malformed_decisions_are_rejected(text):
+    with pytest.raises(InputError) as e:
+        parse_decision(text)
+    assert e.value.code == "malformed-document"

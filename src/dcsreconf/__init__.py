@@ -20,9 +20,9 @@ from .trails import (
     Trail,
     TrailClass,
     classify_trail,
+    cycle_tightness,
     find_augmenting_trail,
     find_maximal_alternating_trail,
-    is_alternatingly_ab_tight,
 )
 
 __all__ = [
@@ -41,13 +41,13 @@ __all__ = [
     "augment",
     "alternating_trail_decomposition",
     "classify_trail",
+    "cycle_tightness",
     "decide",
     "decide_with_trace",
     "enumerate_ab_constrained",
     "find_augmenting_trail",
     "find_maximal_alternating_trail",
     "is_ab_constrained",
-    "is_alternatingly_ab_tight",
     "is_maximum",
     "maximum_dcs",
     "oracle_decide",

@@ -35,7 +35,7 @@ from .core import (
     reversed_moves,
     verify_move_sequence,
 )
-from .errors import ContractError, LockedCycleError, SynthesisError
+from .errors import ContractError, SynthesisError
 from .external import _alt_cycle, _btight_cycle, exists_unlocking_subgraph
 from .internal import _closed_even, _elementary, _odd_grow, _odd_shrink
 from .obstructions import fixed_edge_witness, m_fixed_subgraph, restrict_instance
@@ -253,7 +253,14 @@ def _process(inst: Instance, trace: list[TraceEntry], host: Gadget | None = None
     # escape and unlock search. ``host`` is given exactly between maximum
     # subgraphs at slack 1, where upper-tight cycles escape; else
     # ``peel.host`` is built at the first alternately tight cycle.
-    escapes = host is not None
+    # A cycle found locked in ``ctx`` is locked in ``inst.source`` too: the
+    # trails flipped before it share no edge with it, so both agree on it.
+    # Alternately tight: no unlocking trail means that every feasible subgraph
+    # agreeing with ``ctx`` on the cycle has ``ctx``'s degrees there, and the
+    # source is one. Upper-tight (``ctx`` and the source maximum): an escape
+    # exists iff a cycle vertex is below its upper bound in some maximum
+    # subgraph, a set that does not depend on ``ctx`` (Gallai 1964; Edmonds
+    # 1965); none is, so the source is upper-tight there with no escape either.
     target_size = len(inst.target)
     peel = Peel(graph, bounds, ctx, inst.target, host)
     for trail, cls in peel:
@@ -274,21 +281,14 @@ def _process(inst: Instance, trace: list[TraceEntry], host: Gadget | None = None
                 _elementary(trail, ctx, bounds, out)
                 rule = "open-even"
         elif cls is TrailClass.B_TIGHT_CYCLE:
-            if escapes:
-                try:
-                    _btight_cycle(trail, ctx, bounds, out, peel.host, peel.ends)
-                    rule = "tight-cycle-escape"
-                except LockedCycleError:
-                    return Decision.reject(
-                        Witness(
-                            LOCKED_B_TIGHT_CYCLE,
-                            cycle=trail,
-                            context="slack 1 between maximum subgraphs",
-                        )
-                    )
-            else:
+            if host is None:
                 _closed_even(trail, ctx, bounds, out, allow_deep_dip=True)
                 rule = "tight-cycle-dip"
+            elif _btight_cycle(trail, ctx, bounds, out, peel.host, peel.ends) is None:
+                context = "slack 1 between maximum subgraphs"
+                return Decision.reject(Witness(LOCKED_B_TIGHT_CYCLE, cycle=trail, context=context))
+            else:
+                rule = "tight-cycle-escape"
         else:  # alternately tight cycle
             if peel.host is None:
                 peel.host = Gadget(graph, graph.edge_ids, ctx.edge_set)

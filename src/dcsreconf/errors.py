@@ -18,9 +18,8 @@ class InputError(ValueError):
 class IllegalMoveError(InputError):
     """A move whose precondition fails (add a present edge / remove an absent one)."""
 
-    def __init__(self, message: str, step: int | None = None):
+    def __init__(self, message: str):
         super().__init__("illegal-move", message)
-        self.step = step
 
 
 class ContractError(RuntimeError):
@@ -39,15 +38,6 @@ class NotInternallyReconfigurableError(ContractError):
 
 class NeedsK2Error(ContractError):
     """The requested slack-1 reconfiguration needs slack 2 (fully tight cycle)."""
-
-
-class LockedCycleError(RuntimeError):
-    """Raised when a cycle admits no reconfiguration; carries the certificate."""
-
-    def __init__(self, cycle, kind: str):
-        super().__init__(f"locked cycle ({kind})")
-        self.cycle = cycle
-        self.kind = kind
 
 
 class SynthesisError(RuntimeError):

@@ -7,24 +7,25 @@ unlocking trail exists: one that uses no cycle edge, leaves a cycle vertex
 over the edge that moves it off its role's bound, and ends where the far end
 can take the change. Each vertex of such a cycle sits at exactly one of its
 bounds, so its role is read from its degree: 'b' at the upper bound, 'a' at
-the lower. Both trails are searched forward from the cycle, with
-the side of the first edge set per search, on the whole-host gadget and the
+the lower. Both trails are searched forward from the cycle, with the side of
+the first edge set per search, on the whole-host gadget and the
 ``augmenting.Ends`` that ``decider.Peel`` keeps around the current subgraph.
-Both routines restore every off-cycle side effect.
+Both routines report a locked cycle by returning None and restore every
+off-cycle side effect.
 """
 
 from __future__ import annotations
 
 from .augmenting import Ends, Gadget
 from .core import DegreeBounds, Move, Subgraph
-from .errors import ContractError, LockedCycleError, SynthesisError
+from .errors import ContractError, SynthesisError
 from .internal import _elementary
 # Not called here; bound because the benchmark's traced run wraps these names
 # (``perfbench/tracer.py``, ``_WRAPS``).
 from .augmenting import find_alternating_trail  # noqa: F401
 from .solver import feasible_subgraph  # noqa: F401
 from .trail_type import Trail, concat
-from .trails import is_alternatingly_ab_tight
+from .trails import cycle_tightness
 
 
 def _escape_trail(candidates: set[int], gadget: Gadget, ends: Ends) -> Trail | None:
@@ -71,15 +72,13 @@ def _btight_cycle(
     out: list[Move],
     gadget: Gadget,
     ends: Ends,
-) -> None:
-    if not cycle.is_closed or len(cycle) % 2 != 0:
-        raise ContractError("closed even-length cycle expected")
-    for v in cycle.vertices:
-        if ctx.degrees[v] != bounds.upper[v]:
-            raise ContractError(f"cycle vertex {v} is not at its upper bound")
+) -> Trail | None:
+    """Flip an upper-tight cycle through an escape trail and return it; None if locked."""
+    if cycle_tightness(cycle, ctx, bounds) != "upper":
+        raise ContractError("cycle is not upper-tight in the current subgraph")
     escape = _escape_trail(set(cycle.vertices), gadget, ends)
     if escape is None:
-        raise LockedCycleError(cycle, "upper-tight")
+        return None
     before = len(out)
     cyc_edges = set(cycle.edges)
     last = max((i for i, e in enumerate(escape.edges) if e in cyc_edges), default=None)
@@ -100,6 +99,7 @@ def _btight_cycle(
         sweep_back = concat(sweep_out.reversed(), loop)
     _elementary(sweep_back, ctx, bounds, out)
     _assert_net_effect(out[before:], cycle, "upper-tight cycle reconfiguration")
+    return escape
 
 
 def exists_unlocking_subgraph(
@@ -119,7 +119,7 @@ def exists_unlocking_subgraph(
     cycle's edges leave the gadget for the two searches (a-role starts, then
     b-role starts with a member edge first) and come back before returning.
     """
-    if not is_alternatingly_ab_tight(cycle, current, bounds):
+    if cycle_tightness(cycle, current, bounds) != "alternating":
         raise ContractError("cycle is not alternately tight in the current subgraph")
     # b-role vertices, at their upper bound, shed first; a-role ones gain first
     b_role = {v for v in cycle.vertices if current.degrees[v] == bounds.upper[v]}
@@ -141,7 +141,7 @@ def exists_unlocking_subgraph(
 def _alt_cycle(
     cycle: Trail, ctx: Subgraph, bridge: Trail, bounds: DegreeBounds, out: list[Move]
 ) -> None:
-    if not is_alternatingly_ab_tight(cycle, ctx, bounds):
+    if cycle_tightness(cycle, ctx, bounds) != "alternating":
         raise ContractError("cycle is not alternately tight in the current subgraph")
     if not bridge.edges or set(bridge.edges) & set(cycle.edges):
         raise ContractError("the bridge must be non-empty and share no edge with the cycle")

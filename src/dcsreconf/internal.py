@@ -20,7 +20,6 @@ place and append to the move list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterable
 
@@ -32,23 +31,18 @@ from .errors import (
     SynthesisError,
 )
 from .trail_type import Trail, alternates, inside_first
-from .trails import is_alternatingly_ab_tight
-
-@dataclass(frozen=True)
-class Violation:
-    condition: str
-    vertex: int | None = None
+from .trails import cycle_tightness
 
 
 def check_internal_conditions(
     trail: Trail, current: Subgraph, bounds: DegreeBounds
-) -> Violation | None:
+) -> NotInternallyReconfigurableError | None:
     """Check the exact conditions under which an even trail flips in place.
 
     Open trails need a start that can shed an edge and an end that can accept
     one; closed trails must not be uniformly upper-tight, uniformly
     lower-tight, or alternately tight; no trail vertex may have coinciding
-    bounds. Returns None when every applicable condition holds.
+    bounds. Returns the first failed condition, unraised, or None.
     """
     if not trail.edges or len(trail) % 2 != 0:
         raise ContractError("internal conditions are defined for non-empty even trails")
@@ -57,25 +51,26 @@ def check_internal_conditions(
     t = inside_first(trail, current)
     for v in t.vertices:
         if bounds.lower[v] == bounds.upper[v]:
-            return Violation("pinned-vertex", v)
+            return NotInternallyReconfigurableError("pinned-vertex", v)
     return _degree_violation(t, current, bounds)
 
 
-def _degree_violation(t: Trail, current: Subgraph, bounds: DegreeBounds) -> Violation | None:
-    """The first degree condition an inside-first even trail fails, or None."""
+def _degree_violation(
+    t: Trail, current: Subgraph, bounds: DegreeBounds
+) -> NotInternallyReconfigurableError | None:
+    """The first degree condition an inside-first even trail fails, unraised, or None."""
     if not t.is_closed:
         if current.degrees[t.vertices[0]] == bounds.lower[t.vertices[0]]:
-            return Violation("start-at-lower-bound", t.vertices[0])
+            return NotInternallyReconfigurableError("start-at-lower-bound", t.vertices[0])
         if current.degrees[t.vertices[-1]] == bounds.upper[t.vertices[-1]]:
-            return Violation("end-at-upper-bound", t.vertices[-1])
+            return NotInternallyReconfigurableError("end-at-upper-bound", t.vertices[-1])
         return None
-    if all(current.degrees[v] == bounds.upper[v] for v in t.vertices):
-        return Violation("cycle-all-at-upper-bound")
-    if all(current.degrees[v] == bounds.lower[v] for v in t.vertices):
-        return Violation("cycle-all-at-lower-bound")
-    if is_alternatingly_ab_tight(t, current, bounds):
-        return Violation("cycle-alternately-tight")
-    return None
+    tightness = cycle_tightness(t, current, bounds)
+    if tightness is None:
+        return None
+    if tightness == "alternating":
+        return NotInternallyReconfigurableError("cycle-alternately-tight")
+    return NotInternallyReconfigurableError(f"cycle-all-at-{tightness}-bound")
 
 
 def _emit(ctx: Subgraph, bounds: DegreeBounds, out: list[Move], kind: str, edge: int) -> None:
@@ -120,9 +115,9 @@ def _first_valid_order(
 
 
 def _elementary(trail: Trail, ctx: Subgraph, bounds: DegreeBounds, out: list[Move]) -> None:
-    viol = check_internal_conditions(trail, ctx, bounds)
-    if viol is not None:
-        raise NotInternallyReconfigurableError(viol.condition, viol.vertex)
+    violation = check_internal_conditions(trail, ctx, bounds)
+    if violation is not None:
+        raise violation
     # Pieces are popped in trail order, each split when popped, in the state its
     # order was tested in (what the pieces before it left), so none is rechecked.
     stack = [trail]
@@ -233,10 +228,16 @@ def _odd(trail: Trail, ctx: Subgraph, bounds: DegreeBounds, out: list[Move], gro
             return
         pivot = next((i for i in range(1, tt) if can_pivot(trail.vertices[i])), None)
         if pivot is None:
-            # every interior vertex sits at its lower bound (grow) or its
-            # upper bound (shrink): lead with the first edge
-            _emit(ctx, bounds, out, end_move, trail.edges[0])
-            _elementary(trail.segment(1, tt), ctx, bounds, out)
+            # Every interior vertex sits at its lower (grow) or upper (shrink) bound,
+            # so lead with an end edge: its inner vertex, moved off that bound, ends
+            # the even rest. The first edge's rest is open unless v_1 is the last vertex;
+            # then the last edge's is, as a simple host has one edge joining v_0 and v_1.
+            if trail.vertices[1] != trail.vertices[-1]:
+                _emit(ctx, bounds, out, end_move, trail.edges[0])
+                _elementary(trail.segment(1, tt), ctx, bounds, out)
+            else:
+                _emit(ctx, bounds, out, end_move, trail.edges[-1])
+                _elementary(trail.segment(0, tt - 1), ctx, bounds, out)
             return
         if pivot % 2 == 0:
             # ``_elementary`` orients the even part itself (``inside_first``)
@@ -265,18 +266,17 @@ def _closed_even(
     trail: Trail, ctx: Subgraph, bounds: DegreeBounds, out: list[Move], allow_deep_dip: bool
 ) -> None:
     """Flip a closed even trail; needs a two-step dip when fully upper-tight."""
-    if not trail.is_closed or len(trail) % 2 != 0:
-        raise ContractError("closed even-length trail expected")
     if not alternates(trail, ctx):
         raise ContractError("trail does not alternate around the current subgraph")
     t = inside_first(trail, ctx)
     tt = len(t)
-    if all(ctx.degrees[v] == bounds.lower[v] for v in t.vertices):
+    tightness = cycle_tightness(t, ctx, bounds)
+    if tightness == "lower":
         # uniformly lower-tight: lead with an addition, close with a removal
         _emit(ctx, bounds, out, ADD, t.edges[-1])
         _elementary(t.segment(1, tt - 1), ctx, bounds, out)
         _emit(ctx, bounds, out, REMOVE, t.edges[0])
-    elif all(ctx.degrees[v] == bounds.upper[v] for v in t.vertices):
+    elif tightness == "upper":
         if not allow_deep_dip:
             raise NeedsK2Error("uniformly upper-tight cycle needs a dip of two")
         _emit(ctx, bounds, out, REMOVE, t.edges[0])

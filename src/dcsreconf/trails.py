@@ -2,9 +2,9 @@
 
 Growing trails come from a gadget search, maximal trails from a greedy walk
 around one edge over a gadget's pool (``augmenting.Gadget.maximal_trail``);
-``classify_trail`` picks the single case a peeled trail falls under. The loop
-that peels current^target into trails is ``decider.Peel``, which walks its
-own pool gadget, the edges left.
+``classify_trail`` picks the single case a peeled trail falls under, closed
+ones by ``cycle_tightness``. The loop that peels current^target into trails
+is ``decider.Peel``, which walks its own pool gadget, the edges left.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ __all__ = [
     "find_maximal_alternating_trail",
     "find_augmenting_trail",
     "classify_trail",
-    "is_alternatingly_ab_tight",
+    "cycle_tightness",
 ]
 
 
@@ -67,24 +67,26 @@ def find_augmenting_trail(
     return growing_trail(gadget, bounds, current)
 
 
-def is_alternatingly_ab_tight(cycle: Trail, current: Subgraph, bounds: DegreeBounds) -> bool:
-    """Whether the cycle's vertices alternate lower-tight / upper-tight.
-
-    A vertex takes role 'a' at its lower bound and 'b' at its upper bound
-    (exactly one of them), and the roles alternate around the cycle in
-    either phase. So a vertex visited twice has one role, read from its
-    degree. Only closed even-length trails have this property.
+def cycle_tightness(cycle: Trail, current: Subgraph, bounds: DegreeBounds) -> str | None:
+    """'upper' when every vertex of a closed even trail is at its upper bound,
+    else 'lower' when every one is at its lower bound, else 'alternating' when
+    each is at exactly one bound, role 'a' at the lower and 'b' at the upper,
+    and the roles alternate (so a vertex visited twice has one role); else None.
     """
     if not cycle.is_closed or len(cycle) % 2 != 0:
-        raise ContractError("alternating tightness applies to closed even-length trails")
+        raise ContractError("cycle tightness applies to closed even-length trails")
+    lower, upper, degrees, vs = bounds.lower, bounds.upper, current.degrees, cycle.vertices[:-1]
+    if all(degrees[v] == upper[v] for v in vs):
+        return "upper"
+    if all(degrees[v] == lower[v] for v in vs):
+        return "lower"
     before = None  # whether the previous vertex is lower-tight
-    for v in cycle.vertices[:-1]:
-        d = current.degrees[v]
-        a_tight = d == bounds.lower[v]
-        if a_tight == (d == bounds.upper[v]) or a_tight == before:
-            return False
+    for v in vs:
+        a_tight = degrees[v] == lower[v]
+        if a_tight == (degrees[v] == upper[v]) or a_tight == before:
+            return None
         before = a_tight
-    return True
+    return "alternating"
 
 
 def classify_trail(trail: Trail, current: Subgraph, bounds: DegreeBounds) -> TrailClass:
@@ -96,8 +98,9 @@ def classify_trail(trail: Trail, current: Subgraph, bounds: DegreeBounds) -> Tra
     if len(trail) % 2 == 1:  # alternating, so both ends lie on one side
         return TrailClass.N_AUGMENTING if trail.edges[0] in current else TrailClass.M_AUGMENTING
     if trail.is_closed:
-        if is_alternatingly_ab_tight(trail, current, bounds):
+        tightness = cycle_tightness(trail, current, bounds)
+        if tightness == "alternating":
             return TrailClass.ALT_AB_TIGHT_CYCLE
-        if all(current.degrees[v] == bounds.upper[v] for v in trail.vertices):
+        if tightness == "upper":
             return TrailClass.B_TIGHT_CYCLE
     return TrailClass.OPEN_EVEN_OR_UNLOCKED_CYCLE

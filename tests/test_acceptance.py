@@ -22,7 +22,7 @@ from dcsreconf.oracle import (
     oracle_reachable_states,
 )
 from dcsreconf.solver import augment, maximum_dcs
-from dcsreconf.trails import is_alternatingly_ab_tight
+from dcsreconf.trails import cycle_tightness
 
 from helpers import (
     bounds,
@@ -131,11 +131,11 @@ def test_criterion_2_certificate_validity():
         elif w.kind == LOCKED_ALT_AB_TIGHT_CYCLE:
             cyc = w.cycle
             assert set(cyc.edges) & diff
-            assert is_alternatingly_ab_tight(cyc, inst.source, inst.bounds)
+            assert cycle_tightness(cyc, inst.source, inst.bounds) == "alternating"
             restriction = inst.source.edge_set & set(cyc.edges)
             for state in feasible_subsets(inst.graph, inst.bounds):
                 if state.edge_set & set(cyc.edges) == restriction:
-                    assert is_alternatingly_ab_tight(cyc, state, inst.bounds)
+                    assert cycle_tightness(cyc, state, inst.bounds) == "alternating"
         else:
             raise AssertionError(f"unknown witness kind {w.kind}")
     print(f"criterion 2 (certificate validity): PASS — {len(suite)} certificates checked")

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import json
 import random
 from collections import Counter
@@ -6,6 +7,7 @@ from functools import partial
 from pathlib import Path
 from types import CodeType
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -39,6 +41,7 @@ from helpers import (
     cycle_graph,
     flipped,
     graph,
+    graphs_up_to_iso,
     inst,
     library_lines,
     loose_instance,
@@ -194,6 +197,52 @@ def test_agrees_with_oracle_on_random_instances():
         i = Instance(g, b, s1.copy(), s2.copy(), k)
         done += 1
         assert decide(i).yes == oracle_decide(i)
+
+
+# Yes instances that once crashed: ``_odd`` found no pivot on a peeled odd
+# trail, led with its first edge and handed on a closed, alternately tight rest.
+ODD_REMAINDER_CLOSES = [
+    '{"version":1,"vertices":4,"edges":[[0,1],[0,2],[0,3],[1,2],[1,3],[2,3]],'
+    '"a":[1,0,1,1],"b":[2,2,2,2],"source":[1,2,3],"target":[0,4,5],"k":2}',
+    '{"version":1,"vertices":5,"edges":[[0,1],[0,2],[0,3],[0,4],[1,2],[1,3],[1,4],[2,3],'
+    '[2,4],[3,4]],"a":[1,0,1,2,0],"b":[2,2,2,3,1],"source":[1,2,4,9],"target":[0,5,7,9],"k":2}',
+    '{"version":1,"vertices":5,"edges":[[0,1],[0,2],[0,4],[1,2],[1,3],[1,4],[2,3],[2,4],'
+    '[3,4]],"a":[0,2,2,1,2],"b":[3,3,3,2,3],"source":[1,3,4,7,8],"target":[0,1,2,5,6,8],'
+    '"k":2}',
+]
+
+
+@pytest.mark.parametrize("doc", ODD_REMAINDER_CLOSES, ids=("k4", "k5", "k5-less-an-edge"))
+def test_odd_trails_whose_first_remainder_closes_decide_yes(doc):
+    i = parse_instance(doc)
+    d = decide(i)
+    assert d.yes and oracle_decide(i)
+    assert verify_move_sequence(i, list(d.moves))
+
+
+def test_small_hosts_agree_with_the_oracle_on_every_pair():
+    """Connected hosts on 2-4 vertices under a seeded sample of bound vectors
+    (and the K4 vector of the first instance above): every unordered pair of
+    feasible subgraphs at slack 1 and 2. ``_solve`` orients each pair itself."""
+    hosts = [g for n in (2, 3, 4) for g in graphs_up_to_iso(n, True)]
+    vectors = []
+    for g in hosts:
+        per_vertex = [[(a, b) for b in range(d + 1) for a in range(b + 1)] for d in g.degree]
+        vectors += [(g, combo) for combo in itertools.product(*per_vertex)]
+    k4 = hosts[-1]
+    assert k4.edges == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    sample = random.Random(15).sample(vectors, 120) + [(k4, ((1, 2), (0, 2), (1, 2), (1, 2)))]
+    decided = 0
+    for g, combo in sample:
+        b = DegreeBounds(g, [a for a, _ in combo], [b for _, b in combo])
+        for s, t in itertools.combinations(enumerate_ab_constrained(g, b), 2):
+            for k in (1, 2):
+                i = Instance(g, b, s, t, k)
+                d = decide(i)
+                assert d.yes == oracle_decide(i)
+                assert not d.yes or verify_move_sequence(i, list(d.moves))
+                decided += 1
+    assert decided > 4000
 
 
 def test_monotone_in_slack():

@@ -14,7 +14,7 @@ from dcsreconf.core import (
     verify_move_sequence,
 )
 from dcsreconf.decider import decide
-from dcsreconf.errors import ContractError, LockedCycleError
+from dcsreconf.errors import ContractError
 from dcsreconf.external import (
     _alt_cycle,
     _btight_cycle,
@@ -24,7 +24,7 @@ from dcsreconf.external import (
 from dcsreconf.obstructions import m_fixed_subgraph
 from dcsreconf.oracle import oracle_decide, oracle_min_k
 from dcsreconf.trail_type import Trail, alternates
-from dcsreconf.trails import is_alternatingly_ab_tight
+from dcsreconf.trails import cycle_tightness
 
 from helpers import (
     bounds,
@@ -134,8 +134,10 @@ def test_btight_cycle_locked_when_isolated():
     g = cycle_graph(4)
     b = bounds(g, 0, 1)
     current = sub(g, [0, 2])
-    with pytest.raises(LockedCycleError):
-        btight_moves(square_trail(), current, b)
+    ctx, out = current.copy(), []
+    gadget = Gadget(g, g.edge_ids, current.edge_set)
+    assert _btight_cycle(square_trail(), ctx, b, out, gadget, Ends(current, b)) is None
+    assert out == [] and ctx == current
     assert oracle_min_k(g, b, sub(g, [0, 2]), sub(g, [1, 3])) == 2
 
 
@@ -208,7 +210,7 @@ def test_unlocking_subgraph_found_with_pendant():
     unlocked = flipped(current, bridge)
     assert is_ab_constrained(unlocked, b)
     assert unlocked.edge_set & set(square_trail().edges) == current.edge_set
-    assert not is_alternatingly_ab_tight(square_trail(), unlocked, b)
+    assert cycle_tightness(square_trail(), unlocked, b) != "alternating"
 
 
 def test_unlocking_subgraph_rejects_untight_cycle():
@@ -323,14 +325,14 @@ def test_unlocking_trail_exists_iff_brute_force_finds_an_unlocking_subgraph(rng)
     g, b, cycle, current = planted_alt_cycle(rng)
     # decide never hands the worker a pinned vertex: it switches fixed edges off
     assume(not m_fixed_subgraph(g, b, current).edge_set)
-    assert is_alternatingly_ab_tight(cycle, current, b)
+    assert cycle_tightness(cycle, current, b) == "alternating"
     on_cycle = set(cycle.edges)
     off = [e for e in range(g.m) if e not in on_cycle]
     kept = [e for e in cycle.edges if e in current]
     unlockable = False
     for mask in range(1 << len(off)):
         y = sub(g, kept + [e for i, e in enumerate(off) if mask >> i & 1])
-        if is_ab_constrained(y, b) and not is_alternatingly_ab_tight(cycle, y, b):
+        if is_ab_constrained(y, b) and cycle_tightness(cycle, y, b) != "alternating":
             unlockable = True
             break
     bridge = unlock(cycle, current, b)
@@ -339,7 +341,7 @@ def test_unlocking_trail_exists_iff_brute_force_finds_an_unlocking_subgraph(rng)
         return
     unlocked = flipped(current, bridge)
     assert is_ab_constrained(unlocked, b)
-    assert not is_alternatingly_ab_tight(cycle, unlocked, b)
+    assert cycle_tightness(cycle, unlocked, b) != "alternating"
     moves = on_copy(_alt_cycle, cycle, current, bridge, b)
     assert verify_move_sequence(Instance(g, b, current, flipped(current, cycle), 1), moves)
 
@@ -456,7 +458,7 @@ def test_alt_cycle_odd_bridge_at_a_vertex_visited_twice():
     g = graph(8, FIGURE_EIGHT + [(0, 7)])
     b = DegreeBounds(g, [2, 0, 1, 0, 0, 1, 0, 0], [3, 1, 2, 1, 1, 2, 1, 1])
     current = sub(g, [0, 2, 4, 6])
-    assert is_alternatingly_ab_tight(figure_eight_trail(), current, b)
+    assert cycle_tightness(figure_eight_trail(), current, b) == "alternating"
     moves = on_copy(_alt_cycle, figure_eight_trail(), current, Trail((0, 7), (8,)), b)
     assert_figure_eight_flips(moves, g, b, current)
 
@@ -465,7 +467,7 @@ def test_alt_cycle_even_bridge_at_a_vertex_visited_twice():
     g = graph(9, FIGURE_EIGHT + [(0, 7), (7, 8)])
     b = DegreeBounds(g, [2, 0, 1, 0, 0, 1, 0, 0, 0], [3, 1, 2, 1, 1, 2, 1, 2, 1])
     current = sub(g, [0, 2, 4, 6, 9])
-    assert is_alternatingly_ab_tight(figure_eight_trail(), current, b)
+    assert cycle_tightness(figure_eight_trail(), current, b) == "alternating"
     moves = on_copy(_alt_cycle, figure_eight_trail(), current, Trail((0, 7, 8), (8, 9)), b)
     assert_figure_eight_flips(moves, g, b, current)
 

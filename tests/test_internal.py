@@ -1,8 +1,10 @@
 import random
-from collections import deque
+from collections import Counter, deque
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcsreconf.core import (
     ADD,
@@ -26,6 +28,7 @@ from dcsreconf.internal import (
     _degree_violation,
     _elementary,
     _first_valid_order,
+    _odd,
     _odd_grow,
     _odd_shrink,
     check_internal_conditions,
@@ -239,6 +242,62 @@ def test_odd_workers_reject_with_exact_condition_and_vertex(case):
     else:
         assert str(info.value) == condition
     assert out == []
+
+
+def _no_pivot_odd_trail(rng, grow):
+    """An odd alternating trail of 3-9 edges on at most 6 vertices (so most
+    revisit one), plus a few other host edges. Every interior vertex sits at
+    the bound where ``_odd`` finds no pivot (the lower one when ``grow``, else
+    the upper one), with its other bound one or two steps away, and each end
+    has the steps the flip takes there, maybe one more."""
+    while True:
+        n, cap = rng.randint(3, 6), rng.randrange(3, 10, 2)
+        vs, used = [rng.randrange(n)], set()
+        while len(vs) <= cap:
+            step = [w for w in range(n) if w != vs[-1] and frozenset((vs[-1], w)) not in used]
+            if not step:
+                break
+            w = rng.choice(step)
+            used.add(frozenset((vs[-1], w)))
+            vs.append(w)
+        tt = len(vs) - 1 if len(vs) % 2 == 0 else len(vs) - 2
+        if tt >= 3:
+            break
+    vs = vs[: tt + 1]
+    pairs = [(vs[i], vs[i + 1]) for i in range(tt)]
+    others = [(u, w) for u in range(n) for w in range(u + 1, n) if frozenset((u, w)) not in used]
+    pairs += rng.sample(others, rng.randint(0, min(3, len(others))))
+    g = graph(n, pairs)
+    # a growing trail dangles outside, so its odd positions are in the state
+    inside = [i for i in range(tt) if i % 2 == grow]
+    state = sub(g, inside + [e for e in range(tt, g.m) if rng.random() < 0.5])
+    interior = set(vs[1:-1])
+    need = Counter((vs[0], vs[-1]))  # a closed trail's end takes two steps
+    lower, upper = [], []
+    for v in range(n):
+        d, steps = state.degrees[v], max(need[v], v in interior)
+        if grow:
+            lower.append(d if v in interior else max(0, d - rng.randint(0, 1)))
+            upper.append(min(g.degree[v], d + steps + rng.randint(0, 1)))
+        else:
+            upper.append(d if v in interior else min(g.degree[v], d + rng.randint(0, 1)))
+            lower.append(max(0, d - steps - rng.randint(0, 1)))
+    return g, DegreeBounds(g, lower, upper), state, Trail(tuple(vs), tuple(range(tt)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_odd_trails_with_no_pivot_flip_in_both_directions(rng, grow):
+    """``_odd`` flips such a trail, walked either way, through feasible states
+    to exactly the trail's flip, whichever remainder of an end edge closes."""
+    g, b, state, trail = _no_pivot_odd_trail(rng, grow)
+    for t in (trail, trail.reversed()):
+        moves = on_copy(_odd, t, state, b, grow=grow)
+        cur = state.copy()
+        for move in moves:
+            (cur.add if move.kind == ADD else cur.remove)(move.edge)
+            assert is_ab_constrained(cur, b)
+        assert cur.edge_set == flipped(state, t).edge_set
 
 
 def test_closed_even_unlocked_cycle_at_tight_floor():
@@ -504,6 +563,11 @@ def test_condition_violations_are_genuine_obstructions():
     assert checked >= 3
 
 
+def verdict(violation):
+    """A failed condition as ``(condition, vertex)``, or None."""
+    return None if violation is None else (violation.condition, violation.vertex)
+
+
 def test_piece_orders_are_tested_on_end_degrees():
     """Even peeled trails cut at even positions into two or three pieces, in
     every order: shifting the earlier pieces' end degrees gives each piece
@@ -533,9 +597,9 @@ def test_piece_orders_are_tested_on_end_degrees():
                         by_flips, by_shifts = state.copy(), state.copy()
                         passes = True
                         for piece in order:
-                            want = check_internal_conditions(piece, by_flips, b)
+                            want = verdict(check_internal_conditions(piece, by_flips, b))
                             t = inside_first(piece, by_shifts)
-                            assert _degree_violation(t, by_shifts, b) == want
+                            assert verdict(_degree_violation(t, by_shifts, b)) == want
                             passes = passes and want is None
                             by_flips.flip(piece.edges)
                             by_shifts.degrees[t.vertices[0]] -= 1

@@ -14,9 +14,9 @@ from dcsreconf.trail_type import Trail, alternates
 from dcsreconf.trails import (
     TrailClass,
     classify_trail,
+    cycle_tightness,
     find_augmenting_trail,
     find_maximal_alternating_trail,
-    is_alternatingly_ab_tight,
 )
 
 from helpers import (
@@ -408,14 +408,21 @@ def test_classify_is_total_on_maximal_trails():
 
 
 def test_alternating_tightness_examples():
+    """Each pattern on a square whose vertices all have degree 1; 'upper'
+    wins when every vertex is pinned, where both uniform patterns hold."""
     g = cycle_graph(4)
     t = Trail((0, 1, 2, 3, 0), (0, 1, 2, 3))
     current = sub(g, [0, 2])
-    loose = DegreeBounds(g, [0, 0, 0, 0], [2, 2, 2, 2])
-    assert not is_alternatingly_ab_tight(t, current, loose)
-    alt = DegreeBounds(g, [1, 0, 1, 0], [2, 1, 2, 1])
-    assert is_alternatingly_ab_tight(t, current, alt)
-    broken = DegreeBounds(g, [1, 0, 1, 0], [2, 2, 2, 1])
-    assert not is_alternatingly_ab_tight(t, current, broken)
+    cases = [
+        ([0, 0, 0, 0], [2, 2, 2, 2], None),
+        ([1, 0, 1, 0], [2, 1, 2, 1], "alternating"),
+        ([0, 1, 0, 1], [1, 2, 1, 2], "alternating"),
+        ([1, 0, 1, 0], [2, 2, 2, 1], None),
+        ([0, 0, 0, 0], [1, 1, 1, 1], "upper"),
+        ([1, 1, 1, 1], [2, 2, 2, 2], "lower"),
+        ([1, 1, 1, 1], [1, 1, 1, 1], "upper"),
+    ]
+    for lower, upper, want in cases:
+        assert cycle_tightness(t, current, DegreeBounds(g, lower, upper)) == want
     with pytest.raises(ContractError):
-        is_alternatingly_ab_tight(Trail((0, 1), (0,)), current, alt)
+        cycle_tightness(Trail((0, 1), (0,)), current, DegreeBounds(g, [0] * 4, [2] * 4))

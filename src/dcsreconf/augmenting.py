@@ -37,10 +37,14 @@ flipped trail's two ends, and the one closing rule: a trail may end back at
 its own start only where that vertex can move two steps.
 
 ``growing_trail`` asks once whether a growing trail exists, with one search
-from every vertex with room. ``decider.Peel`` and ``solver.maximum_dcs``
-instead take their growing trails from ``growing_trails``, on their own
-gadget and ``Ends``: a cursor over one-edge trails, then one search per
-start in vertex order, which moves past a start for good once it misses.
+from every vertex with room at once. When that search closes at a start
+with room for one edge, one more search from the other starts settles a
+miss (the trail reversed starts at its other end, see ``Gadget.search``);
+only when that one hits does it search once per start in vertex order.
+``decider.Peel`` and ``solver.maximum_dcs`` instead take their growing
+trails from ``growing_trails``, on their own gadget and ``Ends``: a cursor
+over one-edge trails, then one search per start in vertex order, which
+moves past a start for good once it misses.
 Room only shrinks, whether a peel drops each trail from the pool or the
 maximum search flips it, so the whole growing phase costs about what its
 trails reach plus one missed search per start.
@@ -71,12 +75,21 @@ class Gadget:
         self.edges = sorted(pool)
         self.index = {e: j for j, e in enumerate(self.edges)}
         n_nodes = 2 + 2 * len(self.edges)
-        vertex_of = [-1, -1] + [x for e in self.edges for x in graph.edges[e]]
-        inside = [False, False] + [side for e in self.edges for side in (e in member,) * 2]
+        vertex_of, inside = [-1, -1], [False, False]
         inside_at: list[list[int]] = [[] for _ in range(graph.n)]
         outside_at: list[list[int]] = [[] for _ in range(graph.n)]
-        for port in range(2, n_nodes):
-            (inside_at if inside[port] else outside_at)[vertex_of[port]].append(port)
+        # One pass over the edges: ports are appended in increasing order, so
+        # each side list comes out sorted.
+        port = 2
+        for e in self.edges:
+            u, v = ends = graph.edges[e]
+            side = e in member
+            at = inside_at if side else outside_at
+            at[u].append(port)
+            at[v].append(port + 1)
+            vertex_of += ends
+            inside += (side, side)
+            port += 2
         self.vertex_of, self.inside = vertex_of, inside
         self.inside_at, self.outside_at = inside_at, outside_at
         self.match = [-1, -1] + [p ^ 1 for p in range(2, n_nodes)]
@@ -184,13 +197,32 @@ class Gadget:
         start. A lone source is taken out of its first side's sinks unless it
         closes; the set is restored before the search returns. Several are
         searched at once, and once per start in vertex order only when that
-        returns a closed trail at a start that cannot close, since then
+        returns a closed trail at a start ``x`` that cannot close, since then
         acceptance depends on the start.
+
+        Before that loop, a symmetric search settles a miss with one more
+        search. It is symmetric when it has no far-side sinks (where a trail
+        would end on the side its first edge is not on) and every sink on the
+        first side is a source. Then a valid trail from ``x`` is odd and ends
+        at another sink, itself a source; reversed, it starts there and ends
+        at ``x``, still a sink. So a plain search from the other sources, with
+        ``x`` still a sink, finds a trail whenever any valid trail exists, and
+        its miss means None. On a hit the loop runs as before and picks the
+        same trail. Every growing search is symmetric: its sources and add
+        sinks are one room set. A repair search has one source and never gets
+        here; an unlock search takes the whole host's room and spare as
+        sinks, on both sides and beyond its cycle starts, so it goes straight
+        to the loop.
         """
         if closes is not None and len(sources) > 1:
             found = self.search(sources, add_sinks, remove_sinks, first_inside=first_inside)
             if found is None or not found.is_closed or closes(found.vertices[0]):
                 return found
+            own, far = (remove_sinks, add_sinks) if first_inside else (add_sinks, remove_sinks)
+            if not far and own <= sources:
+                others = sources - {found.vertices[0]}
+                if self._search(others, add_sinks, remove_sinks, first_inside) is None:
+                    return None
             for u in sorted(sources):
                 found = self.search({u}, add_sinks, remove_sinks, closes, first_inside)
                 if found is not None:

@@ -4,9 +4,12 @@ Both phases run on the generic alternating-trail search: first, deficient
 vertices (below their lower bound) are repaired one unit at a time by trails
 that add net degree there without hurting anyone else; then the subgraph is
 grown by the growing trails of ``augmenting.growing_trails``, the generator
-``decider.Peel`` also takes its growing trails from, until none is left. One
-last search that finds nothing certifies maximality. Each phase keeps one
-whole-host gadget and one ``Ends`` in step with the trails flipped.
+``decider.Peel`` also takes its growing trails from, until none is left. A
+growing search that finds nothing certifies maximality: one search from
+every vertex with room, and one more from all of them but one when the
+first closes at a vertex with room for one edge (``Gadget.search``). Each
+phase keeps one whole-host gadget and one ``Ends`` in step with the trails
+flipped.
 """
 
 from __future__ import annotations

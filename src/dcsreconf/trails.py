@@ -59,9 +59,10 @@ def find_augmenting_trail(
 
     The trail starts and ends with target-side edges at vertices that can
     accept another edge; when both ends coincide, that vertex needs room for
-    two. Returns None when no such trail exists. One search on a fresh
-    gadget; a peel loop takes its growing trails from
-    ``augmenting.growing_trails`` instead.
+    two. Returns None when no such trail exists. One ``growing_trail`` on a
+    fresh gadget: a search from every vertex with room, then the closing
+    rule's retries, if any (``Gadget.search``); a peel loop takes its growing
+    trails from ``augmenting.growing_trails`` instead.
     """
     gadget = Gadget(graph, current.edge_set ^ target.edge_set, current.edge_set)
     return growing_trail(gadget, bounds, current)

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import itertools
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
 import dcsreconf
+from dcsreconf import augmenting
 from dcsreconf.augmenting import Ends, Gadget, find_alternating_trail
 from dcsreconf.core import DegreeBounds, Graph, Instance, Move, Subgraph
 from dcsreconf.errors import ContractError
@@ -135,6 +137,25 @@ def library_lines(f, counts=None) -> int:
     finally:
         sys.settrace(before)
     return lines
+
+
+@contextmanager
+def blossom_searches():
+    """Count the blossom searches (``augmenting._augmenting_node_path`` calls)
+    run inside the block. Yields a one-item list that holds the count; the
+    search is put back on exit."""
+    search = augmenting._augmenting_node_path
+    count = [0]
+
+    def counted(*args):
+        count[0] += 1
+        return search(*args)
+
+    augmenting._augmenting_node_path = counted
+    try:
+        yield count
+    finally:
+        augmenting._augmenting_node_path = search
 
 
 def on_copy(worker, trail, current: Subgraph, *args, **kwargs) -> list[Move]:

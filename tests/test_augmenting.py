@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -178,8 +179,10 @@ def closing_cases(draw):
 @given(closing_cases())
 def test_search_applies_the_closing_rule_like_a_two_phase_reference(case):
     """A lone source is dropped from the add sinks at once; several sources
-    are retried one by one only after a closed trail at a start that cannot
-    close. Either way the trail is the two-phase reference's."""
+    are searched again only after a closed trail at a start that cannot
+    close: from the other starts when the terminals are symmetric, and one by
+    one unless that misses. Either way the trail is the two-phase
+    reference's."""
     g, gadget, pool, member, terminals, closing = case
     closes = closing.__contains__
     want = search_with_retries(g, pool, member, *terminals, closes)
@@ -218,6 +221,102 @@ def test_growing_trail_tests_room_only_where_a_trail_can_end(data):
     bounds = DegreeBounds(g, [0] * g.n, upper)
     want = growing_trail_over_every_vertex(g, pool, member, current.degrees, upper)
     assert growing_trail(gadget, bounds, current) == want
+
+
+def shortcut_case(rng):
+    """Two small hosts side by side, where searches from several starts often
+    close at a start that cannot close.
+
+    The first host has 3-6 vertices and holds a closed odd trail
+    x -o- a -m- b -o- x (o a non-member edge, m a member); ``x`` is its one
+    vertex with room, for one edge, so that trail cannot close. The second
+    has 3-7 vertices, 2-7 of them with room for one edge or two where their
+    degree allows. In half the cases where the first host has more than
+    three vertices, one of them off that trail gets room too, and its trails
+    may all end at ``x``. Every edge joining two vertices with room is a
+    member, so no one-edge trail joins them. The other edges are members at
+    random.
+
+    The starts are the vertices with room, and so are the add sinks, as in a
+    growing search. One case in three adds a first-host add sink that is not
+    a start, and one in three a first-host remove sink. Returns the graph,
+    the member set, the upper bounds and the extra add and remove sinks.
+    """
+    n1, n2 = rng.randint(3, 6), rng.randint(3, 7)
+    x, a, b = rng.sample(range(n1), 3)
+    pairs = set()
+    for first, size in ((0, n1), (n1, n2)):
+        within = list(itertools.combinations(range(first, first + size), 2))
+        pairs.update(rng.sample(within, rng.randint(min(size, len(within)), len(within))))
+    ab = (min(a, b), max(a, b))
+    trail = {(min(x, a), max(x, a)), ab, (min(x, b), max(x, b))}
+    g = Graph(n1 + n2, sorted(pairs | trail))
+    starts = set(rng.sample(range(n1, n1 + n2), rng.randint(2, n2)))
+    if n1 > 3 and rng.random() < 0.5:
+        starts.add(rng.choice([v for v in range(n1) if v not in (x, a, b)]))
+    member = {
+        e
+        for e, pair in enumerate(g.edges)
+        if pair == ab
+        or (pair not in trail and (set(pair) <= starts | {x} or rng.random() < 0.5))
+    }
+    degrees = Subgraph(g, member).degrees
+    upper = list(degrees)
+    upper[x] += 1
+    for v in starts:
+        upper[v] = min(g.degree[v], degrees[v] + rng.randint(1, 2))
+    extra, sink = rng.choice([None, "add", "remove"]), rng.choice([v for v in range(n1) if v != x])
+    more_add = {sink} if extra == "add" else set()
+    more_remove = {sink} if extra == "remove" else set()
+    return g, member, upper, more_add, more_remove
+
+
+def closing_path(g, pool, member, terminals, closes):
+    """How ``Gadget.search`` settles a search from several starts, on fresh
+    gadgets: 'plain' when the search from every start decides it, 'loop'
+    when its trail closes at a start that cannot close and the terminals
+    are not symmetric, else 'miss' or 'hit' by the search from the starts
+    other than that trail's."""
+    sources, add_sinks, remove_sinks = terminals
+    found = find_alternating_trail(g, pool, member, *terminals)
+    if len(sources) < 2 or found is None or not found.is_closed or closes(found.vertices[0]):
+        return "plain"
+    if remove_sinks or not add_sinks <= sources:
+        return "loop"
+    others = sources - {found.vertices[0]}
+    return "miss" if find_alternating_trail(g, pool, member, others, add_sinks) is None else "hit"
+
+
+def test_searches_closing_at_a_start_that_cannot_close_match_the_references():
+    """Searches from several starts, biased toward a first trail that closes
+    at a start that cannot close. Whether the terminals are not symmetric
+    (the per-start loop), or the search from the other starts misses (None
+    at once) or hits (the loop), the trail is the two-phase reference's; and
+    on symmetric terminals ``growing_trail``'s is that of fresh gadgets
+    testing room at every vertex. All three ways are taken often."""
+    rng = random.Random(4)
+    paths = Counter()
+    for _ in range(1200):
+        g, member, upper, more_add, more_remove = shortcut_case(rng)
+        current = Subgraph(g, member)
+        degrees = current.degrees
+        room = {v for v in range(g.n) if degrees[v] < upper[v]}
+        terminals = (room, room | more_add, more_remove)
+
+        def closes(v):
+            return degrees[v] + 2 <= upper[v]
+
+        pool = set(g.edge_ids)
+        paths[closing_path(g, pool, member, terminals, closes)] += 1
+        gadget = Gadget(g, pool, member)
+        want = search_with_retries(g, pool, member, *terminals, closes)
+        assert gadget.search(*terminals, closes) == want
+        if more_add or more_remove:
+            continue
+        bounds = DegreeBounds(g, [0] * g.n, upper)
+        want = growing_trail_over_every_vertex(g, pool, member, degrees, upper)
+        assert growing_trail(gadget, bounds, current) == want
+    assert min(paths["loop"], paths["miss"], paths["hit"]) >= 50, paths
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,9 +1,15 @@
+import importlib
+import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
+from dcsreconf.augmenting import Gadget
 from dcsreconf.core import DegreeBounds, Graph, is_ab_constrained
 from dcsreconf.errors import ContractError
+from dcsreconf.instance_io import parse_instance
 from dcsreconf.solver import (
     augment,
     augment_trail,
@@ -13,6 +19,7 @@ from dcsreconf.solver import (
 )
 
 from helpers import (
+    blossom_searches,
     bounds,
     brute_max_size,
     cycle_graph,
@@ -188,3 +195,21 @@ def test_maximum_matches_repeated_augment_on_loose_hosts():
         assert len(got) == len(want)
         assert is_ab_constrained(got, i.bounds)
         assert is_maximum(i.graph, i.bounds, got)
+
+
+def test_benchmark_alt_hosts_are_found_maximum_in_two_searches(monkeypatch):
+    """The tight-cycle benchmark's hosts with an alternately tight cycle, at
+    2,000 edges: the search from every start closes at a start with room for
+    one edge, and one search from the other starts settles that the source
+    is maximum, where one search per start took ten."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    for seed, kind in itertools.product((1, 2, 3), ("alt-no", "alt-yes")):
+        case = workloads.tight_cycle_case(
+            random.Random(seed), kind, 2000, cycles=20, half=4, alt_half=8
+        )
+        i = parse_instance(json.dumps(case.doc))
+        host = Gadget(i.graph, i.graph.edge_ids, i.source.edge_set)
+        with blossom_searches() as searches:
+            assert is_maximum(i.graph, i.bounds, i.source, host), (seed, kind)
+        assert searches[0] <= 2, (seed, kind, searches[0])
